@@ -62,8 +62,6 @@ def bench_meta(timestamp: str | None = None) -> dict:
     """
     import subprocess
 
-    from repro.core.kernels import resolve_backend_name
-
     try:
         commit: str | None = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -78,7 +76,6 @@ def bench_meta(timestamp: str | None = None) -> dict:
         "schema_version": BENCH_SCHEMA,
         "git_commit": commit,
         "timestamp": timestamp,
-        "backend": resolve_backend_name(),
         "scale": SCALE,
     }
 

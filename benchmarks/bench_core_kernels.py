@@ -2,24 +2,22 @@
 
 Not a paper figure: these time the primitives every experiment is built
 on (h-ASPL evaluation, one annealing proposal through the incremental
-and full evaluators, routing-table construction, one fluid alltoall,
-graph bisection) so performance regressions in the substrate are caught
+evaluator and by full recomputation, routing-table construction, one
+fluid alltoall, graph bisection) so performance regressions in the substrate are caught
 by the benchmark suite itself.
 
 Besides the pytest-benchmark cases, the module is runnable directly to
 track the perf trajectory in ``BENCH_pr2.json`` at the repo root::
 
     python benchmarks/bench_core_kernels.py --quick --check BENCH_pr2.json
-    python benchmarks/bench_core_kernels.py --full --out BENCH_pr2.json
+    python benchmarks/bench_core_kernels.py --quick --out BENCH_pr2.json
 
 ``--quick`` times the gated kernels with ``time.perf_counter`` (seconds,
 best of several repeats) and ``--check`` fails (exit 1) when a gated
-kernel regresses more than 1.5x against the committed baseline.  ``--full``
-additionally measures the end-to-end ``solve 1024 15`` speedup of the
-incremental evaluator over the full-APSP evaluator (default schedule).
-``--kernels`` instead sweeps the pluggable BFS backends
-(:mod:`repro.core.kernels`) — per-backend ``bench_h_aspl_{1024,4096}``
-plus the n=4096 annealing step both ways — for the ``BENCH_pr7.json``
+kernel regresses more than 1.5x against the committed baseline.
+``--kernels`` instead times the bit-packed BFS kernel
+(:mod:`repro.core.kernels`) — ``bench_h_aspl_{1024,4096}_bitset`` plus
+the n=4096 annealing step both ways — for the ``BENCH_pr7.json``
 baseline::
 
     python benchmarks/bench_core_kernels.py --kernels --check BENCH_pr7.json
@@ -34,9 +32,7 @@ configuration).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 import time
 
@@ -47,11 +43,10 @@ try:
 except ImportError:  # standalone: `python benchmarks/bench_core_kernels.py`
     from _common import BENCH_SCHEMA, bench_meta
 
-from repro.core.annealing import AnnealingSchedule, anneal
+from repro.core.annealing import AnnealingSchedule
 from repro.core.construct import random_host_switch_graph
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.incremental import IncrementalEvaluator
-from repro.core.kernels import BACKEND_ENV, available_backends
 from repro.core.metrics import h_aspl, h_aspl_and_diameter
 from repro.core.operations import SwapMove
 from repro.core.solver import solve_orp
@@ -62,10 +57,10 @@ from repro.simulation.mpi import run_mpi_program
 
 # Kernels gated by CI against the committed BENCH_pr2.json baseline.
 GATED = ("bench_h_aspl_1024", "bench_anneal_step_1024_incremental")
-# Kernel-backend sweep entries gated against BENCH_pr7.json (--kernels).
-# Only the millisecond-scale kernels are gated: the sub-millisecond
-# n=1024 entries are bimodal across process invocations (allocator /
-# CPU-state luck) by more than the tolerance and stay informational.
+# Kernel entries gated against BENCH_pr7.json (--kernels).  Only the
+# millisecond-scale kernels are gated: the sub-millisecond n=1024 entries
+# are bimodal across process invocations (allocator / CPU-state luck) by
+# more than the tolerance and stay informational.
 GATED_PR7 = ("bench_h_aspl_4096_bitset", "bench_anneal_step_4096_incremental")
 REGRESSION_TOLERANCE = 1.5
 
@@ -249,47 +244,23 @@ def _quick_suite(
     return results
 
 
-@contextlib.contextmanager
-def _forced_backend(name: str):
-    """Temporarily pin ``REPRO_KERNEL_BACKEND`` (resolution is per call)."""
-    old = os.environ.get(BACKEND_ENV)
-    os.environ[BACKEND_ENV] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = old
-
-
 def _kernel_suite() -> dict[str, dict[str, float]]:
-    """Per-backend h-ASPL and n=4096 annealing-step timings (seconds).
+    """Kernel h-ASPL and n=4096 annealing-step timings (seconds).
 
-    Every available backend times the full h-ASPL evaluation at both
-    scales (``bench_h_aspl_{n}_{backend}``); the annealing step at
-    n=4096 runs under the default backend resolution — exactly the
-    configuration a plain ``repro solve 4096 16`` would use.
+    The full h-ASPL evaluation is timed at both scales
+    (``bench_h_aspl_{n}_bitset``; the suffix keeps the BENCH_pr7.json
+    entry names), then one n=4096 annealing step both ways.
     """
     results: dict[str, dict[str, float]] = {}
     graphs: dict[int, HostSwitchGraph] = {}
     for n, m, r in KERNEL_SCALES:
         graph = random_host_switch_graph(n, m, r, seed=0)
         graphs[n] = graph
-        for backend in available_backends():
-            # The python oracle at n=4096 runs a dense-matmul APSP per
-            # call; keep its repeat count low, it is informational only.
-            # The sub-millisecond kernels need many repeats for a stable
-            # best-of under shared-runner noise.
-            if backend == "python" and n == 4096:
-                repeat = 1
-            elif n == 1024:
-                repeat = 25
-            else:
-                repeat = 7
-            with _forced_backend(backend):
-                seconds = _best_of(lambda g=graph: h_aspl(g), repeat=repeat)
-            results[f"bench_h_aspl_{n}_{backend}"] = {"seconds": seconds}
+        # The sub-millisecond kernel needs many repeats for a stable
+        # best-of under shared-runner noise.
+        repeat = 25 if n == 1024 else 7
+        seconds = _best_of(lambda g=graph: h_aspl(g), repeat=repeat)
+        results[f"bench_h_aspl_{n}_bitset"] = {"seconds": seconds}
 
     work = graphs[4096].copy()
     evaluator = IncrementalEvaluator(work)
@@ -322,31 +293,6 @@ def _kernel_suite() -> dict[str, dict[str, float]]:
     return results
 
 
-def _anneal_seconds(start: HostSwitchGraph, evaluator: str, seed: int) -> tuple[float, float]:
-    t0 = time.perf_counter()
-    result = anneal(start, schedule=AnnealingSchedule(), seed=seed, evaluator=evaluator)
-    return time.perf_counter() - t0, result.h_aspl
-
-
-def _solve_speedup(n: int, r: int, m: int) -> dict[str, float]:
-    """End-to-end ``solve n r`` (default schedule) speedup, both evaluators.
-
-    Times the search stage of the solver pipeline on the same starting
-    graph and seed; the two runs are bit-identical, so the ratio is pure
-    evaluator cost.
-    """
-    start = random_host_switch_graph(n, m, r, seed=0)
-    incremental_s, value_inc = _anneal_seconds(start, "incremental", seed=1)
-    full_s, value_full = _anneal_seconds(start, "full", seed=1)
-    assert value_inc == value_full  # repro-lint: disable=REP004 -- bit-identity check
-    return {
-        "incremental_seconds": incremental_s,
-        "full_seconds": full_s,
-        "speedup": full_s / incremental_s,
-        "h_aspl": value_inc,
-    }
-
-
 def _check_regressions(
     results: dict, baseline_path: str, gated: tuple[str, ...] = GATED
 ) -> int:
@@ -375,10 +321,8 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--quick", action="store_true",
                       help="gated kernels only (CI mode)")
-    mode.add_argument("--full", action="store_true",
-                      help="quick suite + end-to-end solve-1024-15 speedup")
     mode.add_argument("--kernels", action="store_true",
-                      help="BFS-backend sweep incl. n=4096 (BENCH_pr7.json)")
+                      help="BFS kernel timings incl. n=4096 (BENCH_pr7.json)")
     parser.add_argument("--out", default=None, help="write results JSON here")
     parser.add_argument("--check", default=None,
                         help="baseline JSON to gate against (exit 1 on regression)")
@@ -420,10 +364,6 @@ def main(argv: list[str] | None = None) -> int:
         "meta": bench_meta(args.timestamp),
         "benchmarks": results,
     }
-    if args.full:
-        payload["solve_1024_15"] = _solve_speedup(1024, 15, m=195)
-        payload["solve_256_12"] = _solve_speedup(256, 12, m=55)
-
     print(json.dumps(payload, indent=2))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -108,7 +108,6 @@ def edge_failure_impact(
     graph: HostSwitchGraph,
     trials: int = 20,
     seed: int | np.random.Generator | None = None,
-    backend: str | None = None,
 ) -> FailureImpact:
     """Remove one random switch-switch link per trial and re-measure.
 
@@ -124,7 +123,7 @@ def edge_failure_impact(
     if not edges:
         raise ValueError("graph has no switch-switch links to fail")
     baseline = h_aspl(graph)
-    ddm = DynamicDistanceMatrix(graph, backend=backend)
+    ddm = DynamicDistanceMatrix(graph)
     counts = graph.host_counts().astype(np.float64)
     bearing = np.flatnonzero(counts > 0)
     kb = counts[bearing]
@@ -150,7 +149,6 @@ def switch_failure_impact(
     graph: HostSwitchGraph,
     trials: int = 10,
     seed: int | np.random.Generator | None = None,
-    backend: str | None = None,
 ) -> FailureImpact:
     """Fail one random switch per trial (with its hosts) and re-measure.
 
@@ -163,7 +161,7 @@ def switch_failure_impact(
         raise ValueError("trials must be >= 1")
     rng = as_generator(seed)
     baseline = h_aspl(graph)
-    ddm = DynamicDistanceMatrix(graph, backend=backend)
+    ddm = DynamicDistanceMatrix(graph)
     counts = graph.host_counts().astype(np.float64)
     n = graph.num_hosts
     values: list[float] = []
@@ -289,7 +287,6 @@ def failure_sweep(
     failures: int = 1,
     trials: int = 50,
     seed: int | np.random.Generator | None = None,
-    backend: str | None = None,
     telemetry: TelemetryRegistry | None = None,
     on_trial: Callable[[int], None] | None = None,
 ) -> ResilienceSweepResult:
@@ -302,10 +299,6 @@ def failure_sweep(
     that partitions the fabric yields finite reachable-pair numbers rather
     than a raise or a bare ``inf``.  Trials mutate a shared incrementally
     repaired distance matrix and restore it in ``finally``.
-
-    ``backend`` selects the BFS kernel repairing the shared matrix (see
-    :mod:`repro.core.kernels`); every backend produces bit-identical
-    sweep results, so it is purely a throughput knob for large fabrics.
 
     ``on_trial(i)`` is called after trial ``i`` completes; the campaign
     executor uses it as a checkpoint boundary (interrupt/timeout checks).
@@ -331,7 +324,7 @@ def failure_sweep(
     rng = as_generator(seed)
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     baseline = h_aspl(graph)
-    ddm = DynamicDistanceMatrix(graph, backend=backend, telemetry=telemetry)
+    ddm = DynamicDistanceMatrix(graph, telemetry=telemetry)
     counts = graph.host_counts().astype(np.float64)
     n = graph.num_hosts
     aspls: list[float] = []

@@ -49,7 +49,6 @@ from typing import Any
 __all__ = [
     "CAMPAIGN_SPEC_FORMAT",
     "COMPOSE_POINT_FIELDS",
-    "DIGEST_NEUTRAL_FIELDS",
     "POINT_FIELDS",
     "POINT_KINDS",
     "RESILIENCE_POINT_FIELDS",
@@ -82,13 +81,7 @@ POINT_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "construction": (str, "random"),
     "initial_temperature": ((int, float), 0.05),
     "final_temperature": ((int, float), 1e-4),
-    "backend": ((str, type(None)), None),
 }
-
-#: Point fields that steer *how* a point is computed, never *what* it
-#: computes: every kernel backend is property-tested bit-identical, so two
-#: points differing only here share one digest (and one stored result).
-DIGEST_NEUTRAL_FIELDS = ("backend",)
 
 _REQUIRED = ("n", "r")
 _OPERATIONS = ("swap", "swing", "two-neighbor-swing")
@@ -113,7 +106,6 @@ RESILIENCE_POINT_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "failures": (int, 1),
     "trials": (int, 50),
     "seed": (int, 0),
-    "backend": ((str, type(None)), None),
 }
 
 _MODES = ("link", "switch")
@@ -137,18 +129,7 @@ COMPOSE_POINT_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "initial_temperature": ((int, float), 0.05),
     "final_temperature": ((int, float), 1e-4),
     "measure": (bool, False),
-    "backend": ((str, type(None)), None),
 }
-
-_BACKENDS = ("auto", "python", "bitset", "numba")
-
-
-def _check_backend(out: dict[str, Any]) -> None:
-    if out["backend"] is not None and out["backend"] not in _BACKENDS:
-        raise SpecError(
-            f"point backend must be one of {_BACKENDS} (or omitted), "
-            f"got {out['backend']!r}"
-        )
 
 _EXECUTOR_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "jobs": (int, 1),
@@ -268,7 +249,6 @@ def normalize_point(point: dict[str, Any]) -> dict[str, Any]:
             "need 0 < final_temperature <= initial_temperature, got "
             f"{out['final_temperature']}, {out['initial_temperature']}"
         )
-    _check_backend(out)
     return out
 
 
@@ -305,7 +285,6 @@ def _normalize_resilience_point(point: dict[str, Any]) -> dict[str, Any]:
         )
     if out["mode"] not in _MODES:
         raise SpecError(f"point mode must be one of {_MODES}, got {out['mode']!r}")
-    _check_backend(out)
     return out
 
 
@@ -364,23 +343,13 @@ def _normalize_compose_point(point: dict[str, Any]) -> dict[str, Any]:
             "need 0 < final_temperature <= initial_temperature, got "
             f"{out['final_temperature']}, {out['initial_temperature']}"
         )
-    _check_backend(out)
     return out
 
 
 def point_digest(point: dict[str, Any]) -> str:
-    """Content address of a point: SHA-256 of its canonical JSON form.
-
-    :data:`DIGEST_NEUTRAL_FIELDS` are stripped first — the kernel backend
-    changes wall-clock, never results, so it must not fork the store key.
-    """
+    """Content address of a point: SHA-256 of its canonical JSON form."""
     normalized = normalize_point(point)
-    digestable = {
-        key: value
-        for key, value in normalized.items()
-        if key not in DIGEST_NEUTRAL_FIELDS
-    }
-    return hashlib.sha256(canonical_json(digestable).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(normalized).encode()).hexdigest()
 
 
 def expand_grid(

@@ -44,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -111,10 +112,20 @@ class ScanBest:
     count)."""
 
 
+def _writer_temp(path: Path) -> Path:
+    """A temp sibling of ``path`` private to this process and thread.
+
+    Concurrent writers of one artifact must never share a temp file (one
+    writer's rename would steal or clobber another's); the ``.tmp`` suffix
+    keeps the debris out of :meth:`CampaignStore.digests`.
+    """
+    return path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` via a same-directory temp + rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _writer_temp(path)
     tmp.write_text(text)
     os.replace(tmp, path)
 
@@ -161,20 +172,24 @@ class CampaignStore:
         new campaign name instead of silently reinterpreting old results).
 
         The binding is race-free for concurrent submitters: the document is
-        written to a per-process temp file and *claimed* with an atomic
+        written to a per-writer temp file and *claimed* with an atomic
         :func:`os.link` onto ``spec.json`` — exactly one writer can create
         the link, every loser observes the winner's complete document and
         either agrees (no-op) or gets :class:`StoreError`.  The old
         check-then-write sequence let two submitters with different specs
         both believe they had bound the campaign.
+
+        A newly bound campaign also gets its empty leaderboard index (see
+        :meth:`_ensure_index`).
         """
         document = dict(spec.raw) if spec.raw else {"name": spec.name}
         serialized = json.dumps(document, sort_keys=True, indent=1) + "\n"
         self.dir.mkdir(parents=True, exist_ok=True)
-        tmp = self.spec_path.with_name(f"spec.json.{os.getpid()}.tmp")
+        tmp = _writer_temp(self.spec_path)
         tmp.write_text(serialized)
         try:
             os.link(tmp, self.spec_path)
+            self._ensure_index()
             return
         except FileExistsError:
             pass
@@ -191,6 +206,7 @@ class CampaignStore:
             else:
                 with os.fdopen(fd, "w") as fh:
                     fh.write(serialized)
+                self._ensure_index()
                 return
         finally:
             tmp.unlink(missing_ok=True)
@@ -239,6 +255,7 @@ class CampaignStore:
         # module-level import would be circular.
         from repro.compose.fabric import ComposeResult
 
+        self._ensure_index()
         pdir = self.point_dir(digest)
         if isinstance(solution, (ResilienceSweepResult, ComposeResult)):
             _atomic_write_json(pdir / _POINT_FILE, point)
@@ -294,6 +311,25 @@ class CampaignStore:
         except OSError:
             return []
         return decode_index_text(text)
+
+    def _ensure_index(self) -> None:
+        """Create the empty index of a store that holds no point yet.
+
+        Every store created from now on thus holds its index before its
+        first point, so every publish is an ``O_APPEND`` and concurrent
+        first writers never race through :meth:`rebuild_index` (which
+        could publish an index missing a point).  Each writer runs this
+        before it creates ``points/``, so a points directory without an
+        index marks a legacy store; that one is left alone and its first
+        publish migrates it.
+        """
+        if self.has_index() or self.points_dir.exists():
+            return
+        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            os.close(os.open(self.index_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
 
     def _index_publish(self, entry: IndexEntry) -> None:
         """Append one record; first write into a legacy store rebuilds.

@@ -9,17 +9,15 @@ Three neighbourhood operations are available:
   recommended operation): try a swing; if rejected, try the second swing
   that together with the first amounts to a swap.  Subsumes both primitives.
 
-The annealer maintains a switch-edge list for O(1) proposal sampling and,
-by default, scores candidates with the delta-repairing
+The annealer maintains a switch-edge list for O(1) proposal sampling and
+scores candidates with the delta-repairing
 :class:`repro.core.incremental.IncrementalEvaluator` (propose / commit /
-rollback around each move).  ``evaluator="full"`` recomputes a full APSP
-per proposal via :mod:`repro.core.metrics` instead — bit-identical results,
-kept for verification and benchmarking — and ``eval_sources`` switches to
-the sampled estimator for very large instances.  Moves that disconnect any
-pair of hosts evaluate to ``inf`` and are always rejected; when hostless
-switches exist, accepted moves additionally pass a whole-switch-graph
-connectivity check so the paper's "no redundant switch is stranded"
-assumption is preserved.
+rollback around each move); ``eval_sources`` switches to the sampled
+estimator for very large instances.  Moves that disconnect any pair of
+hosts evaluate to ``inf`` and are always rejected; while the working graph
+has hostless switches, accepted moves additionally pass a
+whole-switch-graph connectivity check so the paper's "no redundant switch
+is stranded" assumption is preserved.
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ import numpy as np
 
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.incremental import IncrementalEvaluator
-from repro.core.kernels import resolve_backend_name
-from repro.core.metrics import h_aspl, h_aspl_and_diameter, h_aspl_sampled
+from repro.core.metrics import h_aspl_and_diameter, h_aspl_sampled
 from repro.core.operations import SwapMove, SwingMove, propose_swap, propose_swing
 from repro.core.serialization import graph_from_text, graph_to_text
 from repro.obs import NULL_TELEMETRY, TelemetryRegistry
@@ -53,7 +50,6 @@ __all__ = [
 ANNEAL_CHECKPOINT_FORMAT = "repro.anneal.checkpoint/v1"
 
 _OPERATIONS = ("swap", "swing", "two-neighbor-swing")
-_EVALUATORS = ("incremental", "full")
 
 #: Telemetry phase windows per run: acceptance rate / temperature /
 #: proposals-per-second are reported once per window, so the trace stays a
@@ -194,8 +190,6 @@ def anneal(
     seed: int | np.random.Generator | None = 0,
     history_every: int = 0,
     target: float | None = None,
-    evaluator: str = "incremental",
-    backend: str | None = None,
     eval_sources: int | None = None,
     eval_refresh: int = 200,
     telemetry: TelemetryRegistry | None = None,
@@ -223,23 +217,10 @@ def anneal(
     target:
         Optional early-stop threshold: stop once the best h-ASPL is within
         ``1e-12`` of it (e.g. the Theorem-2 lower bound).
-    evaluator:
-        ``"incremental"`` (default) scores proposals with
-        :class:`repro.core.incremental.IncrementalEvaluator`, repairing the
-        distance matrix per move; ``"full"`` recomputes the APSP on every
-        proposal.  Both are exact and produce bit-identical runs for the
-        same seed; ``"full"`` exists for verification and benchmarking.
-    backend:
-        Kernel backend name for the incremental evaluator's BFS repairs
-        (see :mod:`repro.core.kernels`); ``None`` defers to
-        ``REPRO_KERNEL_BACKEND`` and auto-detection.  The annealing
-        trajectory is bit-identical across backends, so this is purely a
-        performance knob.
     eval_sources:
-        Scalability knob: when set (overriding ``evaluator``), proposals
-        are scored with the sampled estimator
-        :func:`repro.core.metrics.h_aspl_sampled` using this many BFS
-        sources (resampled every ``eval_refresh`` accepted steps,
+        Scalability knob: when set, proposals are scored with the sampled
+        estimator :func:`repro.core.metrics.h_aspl_sampled` using this
+        many BFS sources (resampled every ``eval_refresh`` accepted steps,
         proportional to host counts) instead of the exact h-ASPL.  The
         returned result is always evaluated exactly.  Recommended for
         ``n`` in the many-thousands range.
@@ -280,9 +261,6 @@ def anneal(
     """
     if operation not in _OPERATIONS:
         raise ValueError(f"operation must be one of {_OPERATIONS}, got {operation!r}")
-    if evaluator not in _EVALUATORS:
-        raise ValueError(f"evaluator must be one of {_EVALUATORS}, got {evaluator!r}")
-    resolve_backend_name(backend)  # unknown backend names fail fast
     if eval_sources is not None and eval_sources < 1:
         raise ValueError(f"eval_sources must be >= 1, got {eval_sources}")
     if checkpoint_every < 0:
@@ -322,8 +300,6 @@ def anneal(
         sample = rng.choice(bearing, size=k, replace=False, p=probs)
 
     def evaluate() -> float:
-        if eval_sources is None:
-            return h_aspl(work)
         assert sample is not None
         counts = work.host_counts()
         live = sample[counts[sample] > 0]
@@ -332,17 +308,15 @@ def anneal(
             live = sample
         return h_aspl_sampled(work, live)
 
-    # The three scoring modes behind one propose/commit/discard protocol:
-    # the incremental evaluator keeps real scratch state, the full/sampled
-    # paths re-evaluate from the (already mutated) working graph.
+    # Both scoring modes behind one propose/commit/discard protocol: the
+    # incremental evaluator keeps real scratch state, the sampled path
+    # re-evaluates from the (already mutated) working graph.
     inc: IncrementalEvaluator | None = None
-    if eval_sources is not None:
-        resample()
-        current = evaluate()
-    elif evaluator == "incremental":
-        inc = IncrementalEvaluator(work, telemetry=tel, backend=backend)
+    if eval_sources is None:
+        inc = IncrementalEvaluator(work, telemetry=tel)
         current = inc.value
     else:
+        resample()
         current = evaluate()
 
     def propose_value(moves: list) -> float:
@@ -385,7 +359,6 @@ def anneal(
         accepted = 0
         improved = 0
         history = []
-    hostless = int(np.count_nonzero(work.host_counts() == 0))
     segment_accepted0, segment_improved0 = accepted, improved
 
     # Telemetry state lives entirely behind `instrumented`; the disabled
@@ -436,8 +409,9 @@ def anneal(
 
     def connectivity_ok() -> bool:
         # Finite h-ASPL already certifies host-bearing connectivity; a full
-        # check is only needed when hostless intermediate switches exist.
-        return hostless == 0 or work.is_switch_graph_connected()
+        # check is only needed while the candidate has hostless switches
+        # (a swing can empty one at any step).
+        return work.host_counts().all() or work.is_switch_graph_connected()
 
     def capture_checkpoint(step_after: int) -> dict[str, Any]:
         return {
@@ -544,11 +518,10 @@ def anneal(
             tel.counter("evaluator.proposals").inc(stats["proposals"])
             tel.counter("evaluator.fallbacks").inc(stats["fallbacks"])
             tel.counter("evaluator.repaired_rows").inc(stats["repaired_rows"])
-            tel.counter("evaluator.oracle_checks").inc(stats["oracle_checks"])
         tel.event(
             "anneal.done",
             operation=operation,
-            evaluator="sampled" if eval_sources is not None else evaluator,
+            evaluator="incremental" if inc is not None else "sampled",
             steps=steps_done,
             accepted=accepted,
             improved=improved,

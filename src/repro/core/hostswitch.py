@@ -228,8 +228,8 @@ class HostSwitchGraph:
     def switch_csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The switch adjacency as raw CSR ``(indptr, indices)`` int32 arrays.
 
-        Rows are sorted ascending — the layout the
-        :mod:`repro.core.kernels` backends share.  Cheaper than
+        Rows are sorted ascending — the layout the BFS kernel of
+        :mod:`repro.core.kernels` consumes.  Cheaper than
         :meth:`switch_csr` (no scipy matrix wrapper) and vectorised: the
         per-row sort happens in one ``lexsort`` over the flat edge list.
 

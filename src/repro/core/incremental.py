@@ -4,8 +4,13 @@ The simulated-annealing search (paper Section 5) historically recomputed a
 full APSP over all host-bearing switches on *every* proposal, even though a
 swap or swing perturbs exactly two switch edges.  This module maintains the
 switch-graph distance matrix ``D`` across moves and repairs it instead,
-running every BFS through the pluggable :mod:`repro.core.kernels` backends
-(bit-parallel by default; ``backend=`` / ``REPRO_KERNEL_BACKEND`` select).
+running every BFS through the one bit-parallel kernel of
+:mod:`repro.core.kernels`.
+
+One engine does the repair: :class:`DynamicDistanceMatrix` applies edge
+removals and insertions to ``D`` in place.  :class:`IncrementalEvaluator`
+is that engine plus an undo journal and the running weighted sum the
+annealer scores.
 
 Repair algorithm
 ----------------
@@ -40,16 +45,17 @@ screened ``A x A`` block only.  Removals are repaired before
 insertions; mixing is still exact because every intermediate matrix is
 the exact APSP of its intermediate graph.
 
-Scratch state and the undo journal
-----------------------------------
-``propose`` mutates the committed matrix **in place** and journals every
-operation's ``(rows, prior A x A block)``.  ``rollback`` restores the
-journaled blocks in reverse order — which covers every modified entry,
-because each repair step only writes its own block.  ``commit`` simply
-drops the journal.  The committed CSR adjacency is never mutated: a
-proposal's scratch CSR accumulates single-edge deltas as cheap copies
-and is adopted (or dropped) wholesale, so the CSR is only ever rebuilt
-from the graph at construction/rebuild.
+The undo journal
+----------------
+``propose`` repairs the matrix **in place** and journals every repair
+step's ``(rows, prior A x A block)`` together with the committed CSR,
+host counts and value.  ``rollback`` restores the journaled blocks in
+reverse order — which covers every modified entry, because each repair
+step only writes its own block — and reinstates the committed state.
+``commit`` simply drops the journal.  The committed CSR adjacency is
+never mutated: a proposal's CSR accumulates single-edge deltas as cheap
+copies and is kept (or dropped) wholesale, so the CSR is only ever
+rebuilt from the graph at construction/rebuild.
 
 The h-ASPL itself is maintained as the running weighted sum
 ``sum k_a k_b (d(a,b) + 2)``: each repair step contributes the
@@ -67,7 +73,7 @@ When the affected-row count exceeds ``fallback_fraction * m`` the repair
 would cost as much as a rebuild, so the evaluator recomputes all rows in
 one batched BFS instead (the *exact fallback* — same kernel, all
 sources).  Either way the evaluator maintains these invariants after every
-``commit``/``rollback``:
+``propose``/``commit``/``rollback``:
 
 - ``D`` is the exact, symmetric switch-graph distance matrix (``inf`` for
   disconnected pairs) of the bound graph;
@@ -77,15 +83,9 @@ sources).  Either way the evaluator maintains these invariants after every
   exactly representable in float64, so summation order cannot matter).
 
 ``D`` covers *all* switches, not only host-bearing ones, so swing moves
-that empty or populate a switch never invalidate the matrix.
-
-Oracle mode
------------
-``IncrementalEvaluator(graph, oracle=True)`` cross-checks every proposal
-against :func:`repro.core.metrics.h_aspl` and a from-scratch APSP, raising
-``IncrementalEvaluatorError`` on any divergence.  Tests drive hundreds of
-random accepted/rejected moves through oracle mode; production runs leave
-it off.
+that empty or populate a switch never invalidate the matrix.  The test
+suite's ``CheckedEvaluator`` subclass verifies every proposal against the
+reference kernel and a brute-force h-ASPL.
 """
 
 from __future__ import annotations
@@ -96,12 +96,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.hostswitch import HostSwitchGraph
-from repro.core.kernels import CSRAdjacency, get_backend
-from repro.core.metrics import (
-    _weighted_host_distance_sum,
-    h_aspl,
-    switch_distance_matrix,
-)
+from repro.core.kernels import KERNEL, CSRAdjacency
+from repro.core.metrics import _weighted_host_distance_sum
 from repro.core.operations import SwapMove, SwingMove
 from repro.obs import NULL_TELEMETRY, Histogram, TelemetryRegistry
 from repro.obs import clock as obs_clock
@@ -114,19 +110,20 @@ __all__ = [
 
 Move = SwapMove | SwingMove
 _Edge = tuple[int, int]
+#: One journaled repair step: ``(rows, old block, new block, inserted)``.
+_Step = tuple[np.ndarray, np.ndarray, np.ndarray, bool]
 
 #: Buckets for the repaired-rows-per-move histogram; repairs are usually a
 #: handful of rows, the top buckets catch near-fallback proposals.
 _ROWS_BOUNDS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 #: Telemetry instrument names (registered in ``repro.obs.names``).
-_KERNEL_BACKEND_EVENT = "kernel.backend"
 _KERNEL_BFS_TIMER = "kernel.bfs_s"
 _KERNEL_BFS_ROWS = "kernel.bfs_rows"
 
 
 class IncrementalEvaluatorError(RuntimeError):
-    """Protocol misuse or an oracle-mode divergence."""
+    """Misuse of the propose/commit/rollback protocol."""
 
 
 def _affected_sources(
@@ -186,92 +183,114 @@ def _insertion_block(
     return block
 
 
-def _timed_bfs(kernel, csr, rows, timer, counter, targets=None) -> np.ndarray:
-    """Kernel BFS with optional row-throughput telemetry."""
-    if timer is None:
-        return kernel.bfs_distances(csr, rows, targets)
-    t0 = obs_clock()
-    out = kernel.bfs_distances(csr, rows, targets)
-    timer.observe(obs_clock() - t0)
-    counter.inc(len(rows))
-    return out
-
-
 class DynamicDistanceMatrix:
     """Exact switch-graph APSP maintained across edge removals/insertions.
 
-    The public face of the dynamic-BFS repair machinery above, for consumers
-    outside the annealing loop: degraded :class:`repro.routing.RoutingTables`
-    and the :mod:`repro.analysis.resilience` sweeps both keep one of these
-    alive and repair it per fault/repair instead of re-running a full APSP.
+    The one repair engine: degraded :class:`repro.routing.RoutingTables`
+    and the :mod:`repro.analysis.resilience` sweeps keep one of these alive
+    and repair it per fault/repair instead of re-running a full APSP, and
+    :class:`IncrementalEvaluator` extends it for the annealing loop.
 
-    Unlike :class:`IncrementalEvaluator` there is no propose/commit protocol
-    and no fallback threshold — every mutation is applied immediately and
-    exactly, and the matrix keeps ``inf`` entries while the graph is
-    partitioned (both the affected-row test and the insertion screening
-    stay exact in the presence of ``inf``; see the module docstring).
-    After any sequence of ``remove_edge``/``add_edge`` calls, :attr:`dist`
-    is bit-identical to a from-scratch rebuild on the resulting graph —
-    with any kernel backend.
+    Every mutation is applied immediately and exactly, and the matrix keeps
+    ``inf`` entries while the graph is partitioned (both the affected-row
+    test and the insertion screening stay exact in the presence of
+    ``inf``; see the module docstring).  After any sequence of
+    ``remove_edge``/``add_edge`` calls, :attr:`dist` is bit-identical to a
+    from-scratch rebuild on the resulting graph.
 
     Parameters
     ----------
     graph:
         Snapshot source; the matrix does not track later graph mutations.
-    backend:
-        Kernel backend name (see :mod:`repro.core.kernels`); ``None``
-        defers to ``REPRO_KERNEL_BACKEND`` and auto-detection.
     telemetry:
-        Optional :class:`repro.obs.TelemetryRegistry`; when enabled, the
-        resolved backend is announced through the ``kernel.backend`` event
-        and each repair BFS feeds the row-throughput instruments.
+        Optional :class:`repro.obs.TelemetryRegistry`; when enabled, every
+        kernel BFS feeds the ``kernel.bfs_s`` / ``kernel.bfs_rows``
+        row-throughput instruments.
     """
 
     def __init__(
         self,
         graph: HostSwitchGraph,
         *,
-        backend: str | None = None,
         telemetry: TelemetryRegistry | None = None,
     ) -> None:
-        m = graph.num_switches
-        self._m = m
-        self._kernel = get_backend(backend)
+        self._m = graph.num_switches
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._bfs_timer = self._bfs_counter = None
         if tel.enabled:
-            tel.event(
-                _KERNEL_BACKEND_EVENT,
-                backend=self._kernel.name,
-                consumer="dynamic_distance",
-            )
             self._bfs_timer = tel.timer(_KERNEL_BFS_TIMER)
             self._bfs_counter = tel.counter(_KERNEL_BFS_ROWS)
+        self._load(graph)
+
+    def _load(self, graph: HostSwitchGraph) -> None:
+        """(Re)build the CSR and the full matrix from ``graph``."""
         self._csr = CSRAdjacency.from_graph(graph)
-        self._dist = self._bfs(np.arange(m))
-        #: Cumulative rows repaired by :meth:`remove_edge` (speedup accounting:
-        #: a from-scratch APSP would have recomputed ``m`` rows per change).
-        self.repaired_rows = 0
+        self._dist = self._bfs(np.arange(self._m))
 
     def _bfs(self, rows: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
-        return _timed_bfs(
-            self._kernel, self._csr, rows, self._bfs_timer, self._bfs_counter, targets
-        )
+        """Kernel BFS over the current CSR with optional row telemetry."""
+        if self._bfs_timer is None:
+            return KERNEL.bfs_distances(self._csr, rows, targets)
+        t0 = obs_clock()
+        out = KERNEL.bfs_distances(self._csr, rows, targets)
+        self._bfs_timer.observe(obs_clock() - t0)
+        self._bfs_counter.inc(len(rows))
+        return out
+
+    def _edit(
+        self,
+        removed: Sequence[_Edge],
+        added: Sequence[_Edge],
+        row_budget: float = math.inf,
+    ) -> int | None:
+        """Remove then insert switch edges, repairing :attr:`dist` in place.
+
+        Returns the rows the removals repaired.  Once that count exceeds
+        ``row_budget`` the remaining edges only update the CSR, all rows
+        are recomputed into a new :attr:`dist` array in one batched BFS
+        (the exact fallback), and ``None`` is returned.
+        """
+        repaired = 0
+        exact = True
+        for u, v in removed:
+            self._csr = self._csr.with_edge_removed(u, v)
+            if not exact:
+                continue
+            rows = _affected_sources(self._dist, self._csr, u, v)
+            repaired += len(rows)
+            if repaired > row_budget:
+                exact = False
+            elif len(rows):
+                self._write(rows, self._bfs(rows, targets=rows), inserted=False)
+        for u, v in added:
+            self._csr = self._csr.with_edge_added(u, v)
+            if not exact:
+                continue
+            rows = _insertion_affected(self._dist, u, v)
+            if len(rows):
+                block = _insertion_block(self._dist, rows, u, v)
+                self._write(rows, block, inserted=True)
+        if not exact:
+            self._dist = self._bfs(np.arange(self._m))
+            return None
+        return repaired
+
+    def _write(self, rows: np.ndarray, block: np.ndarray, *, inserted: bool) -> None:
+        """Store one repair step's ``rows x rows`` block in place.
+
+        ``inserted`` marks an insertion step, whose block can only shrink.
+        """
+        self._dist[rows[:, None], rows[None, :]] = block
 
     @property
     def num_switches(self) -> int:
         return self._m
 
     @property
-    def backend_name(self) -> str:
-        """Resolved kernel backend computing the repair BFS passes."""
-        return self._kernel.name
-
-    @property
     def dist(self) -> np.ndarray:
         """Live ``(m, m)`` float64 distance matrix, ``inf`` for unreachable.
 
-        This is the evaluator's working array, not a copy — treat it as
+        This is the engine's working array, not a copy — treat it as
         read-only and re-read it after each mutation.
         """
         return self._dist
@@ -292,22 +311,12 @@ class DynamicDistanceMatrix:
     def remove_edge(self, u: int, v: int) -> int:
         """Remove switch edge ``{u, v}``; returns the repaired row count."""
         self._check_pair(u, v)
-        self._csr = self._csr.with_edge_removed(u, v)
-        rows = _affected_sources(self._dist, self._csr, u, v)
-        if len(rows):
-            block = self._bfs(rows, targets=rows)
-            self._dist[rows[:, None], rows[None, :]] = block
-        self.repaired_rows += len(rows)
-        return len(rows)
+        return self._edit([(u, v)], [])
 
     def add_edge(self, u: int, v: int) -> None:
         """Insert switch edge ``{u, v}`` (exact screened min-rule)."""
         self._check_pair(u, v)
-        self._csr = self._csr.with_edge_added(u, v)
-        rows = _insertion_affected(self._dist, u, v)
-        if len(rows):
-            block = _insertion_block(self._dist, rows, u, v)
-            self._dist[rows[:, None], rows[None, :]] = block
+        self._edit([], [(u, v)])
 
     def remove_switch(self, s: int) -> tuple[tuple[int, int], ...]:
         """Remove every edge incident to ``s`` (isolating it).
@@ -331,15 +340,20 @@ class DynamicDistanceMatrix:
             raise ValueError(f"self-loop {{{u}, {v}}} is not a switch edge")
 
 
-class IncrementalEvaluator:
-    """Maintains ``D``/``k``/the weighted sum across annealing moves.
+class IncrementalEvaluator(DynamicDistanceMatrix):
+    """A journaled :class:`DynamicDistanceMatrix` plus the running h-ASPL.
 
     The protocol mirrors the annealer's accept/reject structure:
 
     1. the caller applies the move(s) to the bound graph,
-    2. ``propose(moves)`` returns the candidate h-ASPL (scratch state only),
-    3. ``commit()`` adopts the scratch state, or ``rollback()`` discards it
-       (after which the caller undoes the moves on the graph).
+    2. ``propose(moves)`` repairs the matrix and returns the candidate
+       h-ASPL; until step 3 the evaluator's state is the candidate's,
+    3. ``commit()`` keeps the candidate state, or ``rollback()`` restores
+       the committed one (after which the caller undoes the moves on the
+       graph).
+
+    The inherited single-edge mutators are not part of this protocol: an
+    edit outside ``propose`` raises :class:`IncrementalEvaluatorError`.
 
     Parameters
     ----------
@@ -351,18 +365,11 @@ class IncrementalEvaluator:
         exceed this fraction of ``m``, every row is recomputed in one
         batched BFS instead.  ``0.0`` forces the full rebuild on every
         proposal (useful for testing the fallback path).
-    oracle:
-        Cross-check every proposal against the non-incremental metrics
-        (slow; testing only).
     telemetry:
         Optional :class:`repro.obs.TelemetryRegistry`; when enabled, the
-        evaluator feeds a repaired-rows-per-move histogram and the kernel
-        row-throughput instruments in addition to the always-on ``stats``
-        dict, and announces the resolved backend via ``kernel.backend``.
-    backend:
-        Kernel backend name (see :mod:`repro.core.kernels`); ``None``
-        defers to ``REPRO_KERNEL_BACKEND`` and auto-detection.  The
-        h-ASPL trajectory is bit-identical across backends.
+        evaluator feeds a repaired-rows-per-move histogram (and the engine
+        its kernel row-throughput instruments) in addition to the
+        always-on ``stats`` dict.
     """
 
     def __init__(
@@ -370,9 +377,7 @@ class IncrementalEvaluator:
         graph: HostSwitchGraph,
         *,
         fallback_fraction: float = 0.5,
-        oracle: bool = False,
         telemetry: TelemetryRegistry | None = None,
-        backend: str | None = None,
     ) -> None:
         if not 0.0 <= fallback_fraction <= 1.0:
             raise ValueError(
@@ -382,52 +387,45 @@ class IncrementalEvaluator:
             raise ValueError(
                 f"h-ASPL needs at least 2 hosts, graph has {graph.num_hosts}"
             )
+        super().__init__(graph, telemetry=telemetry)
         self._graph = graph
-        self._oracle = oracle
-        m = graph.num_switches
-        self._row_budget = int(fallback_fraction * m)
-        self._kernel = get_backend(backend)
-        tel = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._bfs_timer = self._bfs_counter = None
+        self._row_budget = int(fallback_fraction * self._m)
         self._rows_hist: Histogram | None = None
-        if tel.enabled:
-            tel.event(
-                _KERNEL_BACKEND_EVENT,
-                backend=self._kernel.name,
-                consumer="incremental_evaluator",
-            )
-            self._bfs_timer = tel.timer(_KERNEL_BFS_TIMER)
-            self._bfs_counter = tel.counter(_KERNEL_BFS_ROWS)
-            self._rows_hist = tel.histogram(
+        if telemetry is not None and telemetry.enabled:
+            self._rows_hist = telemetry.histogram(
                 "evaluator.repaired_rows_per_move", _ROWS_BOUNDS
             )
-        self._csr = CSRAdjacency.from_graph(graph)
-        self._dist = self._bfs(self._csr, np.arange(m))
-        self._k = graph.host_counts().astype(np.float64)
-        self._n = graph.num_hosts
-        self._value, self._weighted = self._evaluate(self._dist, self._k)
-        self._pending: (
-            tuple[CSRAdjacency, np.ndarray | None,
-                  list[tuple[np.ndarray, np.ndarray]],
-                  np.ndarray, float, float] | None
-        )
-        self._pending = None
+        self._score()
+        #: While a proposal is pending: the committed ``(csr, dist, k, value,
+        #: weighted)`` and the journal of repair steps ``(rows, old block,
+        #: new block, inserted)``.
+        self._pending: tuple[tuple, list[_Step]] | None = None
         self.stats = {
             "proposals": 0,
             "fallbacks": 0,
             "repaired_rows": 0,
-            "oracle_checks": 0,
         }
 
-    def _bfs(
+    def _score(self) -> None:
+        """Host counts and value from the bound graph and current matrix."""
+        self._k = self._graph.host_counts().astype(np.float64)
+        self._n = self._graph.num_hosts
+        self._value, self._weighted = self._evaluate(self._dist, self._k)
+
+    def _edit(
         self,
-        csr: CSRAdjacency,
-        rows: np.ndarray,
-        targets: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return _timed_bfs(
-            self._kernel, csr, rows, self._bfs_timer, self._bfs_counter, targets
-        )
+        removed: Sequence[_Edge],
+        added: Sequence[_Edge],
+        row_budget: float = math.inf,
+    ) -> int | None:
+        if self._pending is None:
+            raise IncrementalEvaluatorError("edit the evaluator through propose()")
+        return super()._edit(removed, added, row_budget)
+
+    def _write(self, rows: np.ndarray, block: np.ndarray, *, inserted: bool) -> None:
+        old = self._dist[rows[:, None], rows[None, :]]
+        self._pending[1].append((rows, old, block, inserted))
+        super()._write(rows, block, inserted=inserted)
 
     # ------------------------------------------------------------------ #
     # Value computation
@@ -435,7 +433,7 @@ class IncrementalEvaluator:
 
     @property
     def value(self) -> float:
-        """h-ASPL of the committed state (matches ``metrics.h_aspl``)."""
+        """h-ASPL of the current state (matches ``metrics.h_aspl``)."""
         return self._value
 
     @property
@@ -443,10 +441,9 @@ class IncrementalEvaluator:
         """The running weighted sum ``sum k_a k_b (d(a,b) + 2)`` (or inf)."""
         return self._weighted
 
-    @property
-    def backend_name(self) -> str:
-        """Resolved kernel backend computing the repair BFS passes."""
-        return self._kernel.name
+    def _value_of(self, weighted: float) -> float:
+        n = self._n
+        return float((0.5 * weighted - n) / (n * (n - 1) / 2.0))
 
     def _evaluate(self, dist: np.ndarray, k: np.ndarray) -> tuple[float, float]:
         """``(h_aspl, weighted_sum)`` from a distance matrix and counts."""
@@ -458,9 +455,8 @@ class IncrementalEvaluator:
             sub = dist[np.ix_(bearing, bearing)]
         if np.isinf(sub).any():
             return float("inf"), float("inf")
-        n = self._n
         weighted = _weighted_host_distance_sum(sub, kb)
-        return float((0.5 * weighted - n) / (n * (n - 1) / 2.0)), weighted
+        return self._value_of(weighted), weighted
 
     def _block_delta(
         self,
@@ -531,11 +527,10 @@ class IncrementalEvaluator:
     def propose(self, moves: Move | Sequence[Move]) -> float:
         """Candidate h-ASPL after ``moves`` (already applied to the graph).
 
-        The committed state is untouched semantically (the in-place row
-        edits are journaled and undone by :meth:`rollback`); call
-        :meth:`commit` to adopt the candidate or :meth:`rollback` to
-        discard it.  A second ``propose`` before either is a protocol
-        error.
+        The matrix is repaired in place and every repair step journaled;
+        call :meth:`commit` to keep the candidate or :meth:`rollback` to
+        restore the committed state.  A second ``propose`` before either
+        is a protocol error.
         """
         if self._pending is not None:
             raise IncrementalEvaluatorError(
@@ -544,90 +539,57 @@ class IncrementalEvaluator:
             )
         removed, added, host_deltas = self._aggregate(moves)
         self.stats["proposals"] += 1
+        journal: list[_Step] = []
+        committed = (self._csr, self._dist, self._k, self._value, self._weighted)
+        self._pending = (committed, journal)
+        try:
+            repaired = self._edit(removed, added, self._row_budget)
+        except BaseException:
+            self.rollback()
+            raise
 
-        csr = self._csr
-        dist = self._dist
-        journal: list[tuple[np.ndarray, np.ndarray]] = []
-        exact = True  # False once the row budget is blown (full rebuild)
-        delta_ok = math.isfinite(self._weighted)
-        dw = 0.0
-        repaired = 0
-        for u, v in removed:
-            csr = csr.with_edge_removed(u, v)
-            if not exact:
-                continue
-            rows = _affected_sources(dist, csr, u, v)
-            repaired += len(rows)
-            if repaired > self._row_budget:
-                exact = False
-                continue
-            if len(rows):
-                ri, ci = rows[:, None], rows[None, :]
-                old = dist[ri, ci]
-                new = self._bfs(csr, rows, targets=rows)
-                journal.append((rows, old))
-                dist[ri, ci] = new
-                if delta_ok:
-                    dw, delta_ok = self._block_delta(dw, rows, old, new)
-        for u, v in added:
-            csr = csr.with_edge_added(u, v)
-            if not exact:
-                continue
-            rows = _insertion_affected(dist, u, v)
-            if len(rows):
-                new = _insertion_block(dist, rows, u, v)
-                ri, ci = rows[:, None], rows[None, :]
-                old = dist[ri, ci]
-                journal.append((rows, old))
-                dist[ri, ci] = new
-                if delta_ok:
-                    dw, delta_ok = self._block_delta(dw, rows, old, new, finite=True)
-
-        new_dist: np.ndarray | None = None
-        if not exact:
+        if repaired is None:
             self.stats["fallbacks"] += 1
-            new_dist = self._bfs(csr, np.arange(csr.num_switches))
         else:
             self.stats["repaired_rows"] += repaired
             if self._rows_hist is not None:
                 self._rows_hist.observe(repaired)
 
-        k = self._k
+        weighted: float | None = None
+        if repaired is not None and math.isfinite(self._weighted):
+            weighted = self._repaired_sum(journal, host_deltas)
         if host_deltas:
-            k = k.copy()
+            self._k = self._k.copy()
             for switch, delta in host_deltas:
-                k[switch] += delta
+                self._k[switch] += delta
+        if weighted is None:
+            self._value, self._weighted = self._evaluate(self._dist, self._k)
+        else:
+            self._value, self._weighted = self._value_of(weighted), weighted
+        return self._value
 
-        value: float | None = None
+    def _repaired_sum(
+        self, journal: list[_Step], host_deltas: list[tuple[int, int]]
+    ) -> float | None:
+        """The candidate weighted sum from the journaled block deltas.
+
+        ``None`` when an ``inf`` comes into sight; the caller then falls
+        back to the full double sum.
+        """
+        dw, ok = 0.0, True
+        for rows, old, new, inserted in journal:
+            dw, ok = self._block_delta(dw, rows, old, new, finite=inserted)
+            if not ok:
+                return None
         weighted = self._weighted + dw
-        if exact and delta_ok:
-            if host_deltas:
-                maybe = self._host_delta_weighted(dist, host_deltas, weighted)
-            else:
-                maybe = weighted
-            if maybe is not None:
-                n = self._n
-                weighted = maybe
-                value = float((0.5 * weighted - n) / (n * (n - 1) / 2.0))
-        if value is None:
-            target = new_dist if new_dist is not None else dist
-            value, weighted = self._evaluate(target, k)
-        if self._oracle:
-            self._oracle_check(new_dist if new_dist is not None else dist, k, value)
-        self._pending = (csr, new_dist, journal, k, value, weighted)
-        return value
+        if host_deltas:
+            return self._host_delta_weighted(self._dist, host_deltas, weighted)
+        return weighted
 
     def commit(self) -> None:
-        """Adopt the pending proposal as the committed state."""
+        """Keep the pending proposal as the committed state."""
         if self._pending is None:
             raise IncrementalEvaluatorError("commit() without a pending proposal")
-        csr, new_dist, _journal, k, value, weighted = self._pending
-        self._csr = csr
-        if new_dist is not None:
-            self._dist = new_dist
-        self._k = k
-        self._value = value
-        self._weighted = weighted
         self._pending = None
 
     def rollback(self) -> None:
@@ -638,9 +600,10 @@ class IncrementalEvaluator:
         """
         if self._pending is None:
             raise IncrementalEvaluatorError("rollback() without a pending proposal")
-        _csr, _new_dist, journal, _k, _value, _weighted = self._pending
-        for rows, block in reversed(journal):
-            self._dist[rows[:, None], rows[None, :]] = block
+        committed, journal = self._pending
+        self._csr, self._dist, self._k, self._value, self._weighted = committed
+        for rows, old, _new, _inserted in reversed(journal):
+            self._dist[rows[:, None], rows[None, :]] = old
         self._pending = None
 
     def _aggregate(
@@ -674,41 +637,8 @@ class IncrementalEvaluator:
         deltas = [(s, d) for s, d in host_delta.items() if d != 0]
         return removed_net, added_net, deltas
 
-    # ------------------------------------------------------------------ #
-    # Verification helpers
-    # ------------------------------------------------------------------ #
-
-    def _oracle_check(self, dist: np.ndarray, k: np.ndarray, value: float) -> None:
-        """Compare a proposal's scratch state against the full metrics."""
-        self.stats["oracle_checks"] += 1
-        expected_dist = switch_distance_matrix(self._graph)
-        if not np.array_equal(dist, expected_dist):
-            bad = int((~np.isclose(dist, expected_dist, equal_nan=False)).sum())
-            raise IncrementalEvaluatorError(
-                f"oracle: repaired distance matrix diverges from APSP in "
-                f"{bad} entries"
-            )
-        expected_counts = self._graph.host_counts().astype(np.float64)
-        if not np.array_equal(k, expected_counts):
-            raise IncrementalEvaluatorError(
-                "oracle: host-count vector diverges from the graph"
-            )
-        expected = h_aspl(self._graph)
-        same = (
-            (math.isinf(expected) and math.isinf(value))
-            or expected == value  # repro-lint: disable=REP004 -- oracle demands bit-equality
-        )
-        if not same:
-            raise IncrementalEvaluatorError(
-                f"oracle: incremental h-ASPL {value!r} != exact {expected!r}"
-            )
-
     def rebuild(self) -> None:
         """Resynchronise from the bound graph (full APSP; drops pending)."""
-        m = self._graph.num_switches
         self._pending = None
-        self._csr = CSRAdjacency.from_graph(self._graph)
-        self._dist = self._bfs(self._csr, np.arange(m))
-        self._k = self._graph.host_counts().astype(np.float64)
-        self._n = self._graph.num_hosts
-        self._value, self._weighted = self._evaluate(self._dist, self._k)
+        self._load(self._graph)
+        self._score()

@@ -40,7 +40,7 @@ never pays for a level that cannot change the answer.
 
 Work buffers (``reach``, frontier/fresh pair, the edge gather, the
 counter block) are recycled across calls through a small per-shape
-scratch cache on the backend instance: the repair path calls this
+scratch cache on the kernel instance: the repair path calls this
 kernel twice per annealing proposal with identical shapes, and the
 allocator + page-fault cost of cold buffers is measurable there.  The
 returned matrix is always freshly allocated; no caller-visible state
@@ -73,7 +73,7 @@ def _unpack(words: np.ndarray, num: int) -> np.ndarray:
 
 
 class BitsetBackend:
-    """Vectorised bit-parallel BFS (the default compiled-free backend)."""
+    """Vectorised bit-parallel BFS: the repo's one BFS kernel."""
 
     name = "bitset"
 

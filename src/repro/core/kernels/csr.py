@@ -1,9 +1,9 @@
-"""Shared CSR switch-adjacency for the BFS kernel backends.
+"""Shared CSR switch-adjacency for the BFS kernel.
 
-Every backend consumes the same compressed-sparse-row structure —
-``indptr``/``indices`` ``int32`` arrays with per-row **sorted** neighbor
-lists — so a graph is converted once and then shared across all BFS
-calls instead of re-deriving neighbor lists per source row.
+The kernel and its test reference consume the same compressed-sparse-row
+structure — ``indptr``/``indices`` ``int32`` arrays with per-row
+**sorted** neighbor lists — so a graph is converted once and then shared
+across all BFS calls instead of re-deriving neighbor lists per source row.
 
 The structure is immutable by convention: :meth:`with_edge_removed` /
 :meth:`with_edge_added` return a *new* :class:`CSRAdjacency` sharing no
@@ -11,7 +11,7 @@ mutable state with the parent.  Single-edge edits are O(E) masked copies
 (tens of microseconds at the scales this repo runs), which is what lets
 :class:`repro.core.incremental.IncrementalEvaluator` keep its committed
 CSR untouched while a proposal's scratch CSR accumulates deltas — commit
-adopts the scratch arrays, rollback just drops them.  The arrays are
+keeps the scratch arrays, rollback just drops them.  The arrays are
 rebuilt from a graph only at construction/rebuild time, never per row.
 """
 
@@ -90,7 +90,7 @@ class CSRAdjacency:
         return i < len(row) and int(row[i]) == v
 
     def dense_float32(self) -> np.ndarray:
-        """Dense float32 0/1 adjacency (cached; the python oracle's input)."""
+        """Dense float32 0/1 adjacency (cached; the reference kernel's input)."""
         if self._dense is None:
             m = self.num_switches
             dense = np.zeros((m, m), dtype=np.float32)

@@ -1,10 +1,11 @@
-"""Pure-Python/NumPy BFS backend — the bit-identity oracle.
+"""Pure-Python/NumPy BFS — the test-side reference kernel.
 
 This is PR 2's batched frontier BFS verbatim: a dense float32 0/1
 adjacency, one ``(rows, m) @ (m, m)`` matmul per BFS level, ``inf`` for
-unreachable switches.  Every other backend is property-tested
-bit-identical to this one (distances are small integers, exactly
-representable in float64, so "bit-identical" is achievable and checked).
+unreachable switches.  The property suites assert that
+:data:`repro.core.kernels.KERNEL` is bit-identical to this one (distances
+are small integers, exactly representable in float64, so "bit-identical"
+is achievable and checked).  Production code never calls it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ __all__ = ["PythonBackend"]
 
 
 class PythonBackend:
-    """Reference backend: dense matmul frontier BFS (slow, exact)."""
+    """Reference kernel: dense matmul frontier BFS (slow, exact)."""
 
     name = "python"
 
@@ -35,7 +36,7 @@ class PythonBackend:
         rows are being computed.  Unreachable switches stay ``inf``.
         With ``targets`` only those columns are returned; the oracle
         deliberately computes the full matrix first and slices — the
-        simplest possible semantics for the faster backends to match.
+        simplest possible semantics for the fast kernel to match.
         """
         if targets is not None:
             full = self.bfs_distances(csr, sources)

@@ -67,10 +67,10 @@ REP014
     advances a wavefront (assignment to a ``*frontier*`` name or a
     ``deque.popleft()``) while producing distances (subscript store
     into a ``*dist*`` array or an ``isinf`` reachedness test).  The
-    kernel layer's ``get_backend().bfs_distances`` is the one BFS
-    implementation — backend-pluggable (python/bitset/numba), batched,
-    and bit-identical across backends; private re-implementations fork
-    that contract.
+    kernel layer's ``KERNEL.bfs_distances`` is the one BFS
+    implementation — batched, bit-parallel, and property-tested
+    bit-identical to the reference kernel; private re-implementations
+    fork that contract.
 
 Flow rules (REP010-REP013)
 --------------------------
@@ -147,7 +147,7 @@ RULES: dict[str, str] = {
     "REP013": "telemetry instrument name is not a literal from the "
     "repro.obs.names.INSTRUMENTS registry (flow tier; keeps repro.obs/v1 closed)",
     "REP014": "hand-rolled frontier-BFS loop outside repro.core.kernels "
-    "(route through get_backend().bfs_distances for pluggable batched kernels)",
+    "(route through repro.core.kernels.KERNEL.bfs_distances, the one batched kernel)",
 }
 
 #: Rules produced by the whole-program flow tier (repro.devtools.flow).
@@ -657,9 +657,9 @@ class _Analyzer(ast.NodeVisitor):
                 "REP014",
                 loop,
                 "loop advances a BFS frontier and fills a distance array by "
-                "hand; repro.core.kernels.get_backend().bfs_distances is the "
-                "one BFS implementation (backend-pluggable, batched, "
-                "bit-identical across backends)",
+                "hand; repro.core.kernels.KERNEL.bfs_distances is the one "
+                "BFS implementation (batched, bit-parallel, tested "
+                "bit-identical to the reference kernel)",
             )
 
     # -- REP001 + REP003 (call sites) ----------------------------------- #

@@ -33,12 +33,10 @@ INSTRUMENTS: frozenset[str] = frozenset(
         "anneal.wall_s",
         # repro.core.incremental
         "evaluator.fallbacks",
-        "evaluator.oracle_checks",
         "evaluator.proposals",
         "evaluator.repaired_rows",
         "evaluator.repaired_rows_per_move",
-        # repro.core.kernels consumers (incremental evaluator, dynamic matrix)
-        "kernel.backend",
+        # repro.core.kernels consumer (the dynamic distance matrix)
         "kernel.bfs_rows",
         "kernel.bfs_s",
         # repro.core.solver

@@ -7,7 +7,7 @@ detection a first-class subsystem:
 - :func:`load_bench` reads a benchmark payload tolerating both the
   original schema-1 shape (``{"schema": 1, "benchmarks": ...}``) and the
   schema-2 shape that adds a ``meta`` provenance block (git commit,
-  timestamp, kernel backend — see ``benchmarks._common.bench_meta``);
+  timestamp, scale — see ``benchmarks._common.bench_meta``);
 - :class:`PerfHistory` is a small append-only JSON store of past runs
   keyed by commit/date, so the baseline can *roll*: with enough history
   the expected value for a kernel is the median of its recent runs —

@@ -105,7 +105,6 @@ def _evaluator_section(metrics: dict) -> list[str]:
         ["rows repaired", repaired],
         ["rows repaired / move", f"{repaired / proposals:.2f}"],
         ["fallback rebuilds", _counter(metrics, "evaluator.fallbacks") or 0],
-        ["oracle checks", _counter(metrics, "evaluator.oracle_checks") or 0],
     ]
     return [format_table(["evaluator repair", "value"], rows), ""]
 

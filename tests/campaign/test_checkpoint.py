@@ -22,6 +22,7 @@ from repro.core.annealing import (
 )
 from repro.core.construct import random_host_switch_graph
 from repro.core.solver import solve_orp
+from tests.conftest import checked_anneal
 
 SCHEDULE = AnnealingSchedule(num_steps=400)
 SEED = 7
@@ -43,8 +44,11 @@ class _StopAfter(Exception):
     pass
 
 
-def run_killed_then_resumed(graph, kill_at: int, *, evaluator="incremental"):
-    """Anneal, abort at the ``kill_at``-th checkpoint, resume, return result."""
+def run_killed_then_resumed(graph, kill_at: int, *, run=anneal):
+    """Anneal, abort at the ``kill_at``-th checkpoint, resume, return result.
+
+    ``run`` is the annealer entry point used for both segments.
+    """
     saved: list[dict] = []
 
     def callback(state: dict) -> None:
@@ -53,19 +57,17 @@ def run_killed_then_resumed(graph, kill_at: int, *, evaluator="incremental"):
             raise _StopAfter()
 
     with pytest.raises(_StopAfter):
-        anneal(
+        run(
             graph, schedule=SCHEDULE, seed=SEED, history_every=50,
-            evaluator=evaluator, checkpoint_every=100,
-            checkpoint_callback=callback,
+            checkpoint_every=100, checkpoint_callback=callback,
         )
     # The checkpoint must survive a JSON round trip (that is how the store
     # persists it across the kill).
     state = json.loads(json.dumps(saved[-1]))
     assert state["format"] == ANNEAL_CHECKPOINT_FORMAT
     assert state["step"] == kill_at * 100
-    return anneal(
-        graph, schedule=SCHEDULE, seed=SEED, history_every=50,
-        evaluator=evaluator, resume_state=state,
+    return run(
+        graph, schedule=SCHEDULE, seed=SEED, history_every=50, resume_state=state,
     )
 
 
@@ -82,8 +84,8 @@ class TestAnnealResume:
         assert resumed.history == reference.history
         assert strip_wall(resumed) == strip_wall(reference)
 
-    def test_resume_under_full_evaluator(self, start_graph, reference):
-        resumed = run_killed_then_resumed(start_graph, 2, evaluator="full")
+    def test_resume_under_checked_evaluator(self, start_graph, reference):
+        resumed = run_killed_then_resumed(start_graph, 2, run=checked_anneal)
         assert resumed.graph == reference.graph
         assert strip_wall(resumed) == strip_wall(reference)
 

@@ -48,7 +48,6 @@ class TestSpecNormalization:
             "failures": 1,
             "trials": 50,
             "seed": 0,
-            "backend": None,
         }
 
     def test_orp_digest_unchanged_by_explicit_kind(self):

@@ -33,7 +33,6 @@ class TestNormalizePoint:
             "construction": "random",
             "initial_temperature": 0.05,
             "final_temperature": 1e-4,
-            "backend": None,
         }
 
     def test_explicit_defaults_digest_identically(self):
@@ -112,6 +111,30 @@ class TestPointDigest:
             point_digest(dict(normalize_point({"n": 64, "r": 8})))
         )
         assert len(point_digest({"n": 64, "r": 8})) == 64
+
+    @pytest.mark.parametrize(
+        "point,digest",
+        [
+            ({"n": 1024, "r": 15},
+             "a0d077e20293bc0f125914831ef8eb80125d3ede83cf284673c1a03e05b1670b"),
+            ({"kind": "resilience", "n": 256, "r": 12},
+             "03a91bf050360e38fdaa72fa940c629c991d70d1191fd23f78e99709dd7d8af9"),
+            ({"kind": "compose", "n": 100000, "r": 139},
+             "bdfd07720eb2715c51674c42c6814d0cb0722bbfdff2a9b8c5ee44b45ad6525b"),
+        ],
+    )
+    def test_golden_digests(self, point, digest):
+        # Pinned across the removal of the digest-neutral "backend" field:
+        # every stored result must stay addressable.
+        assert point_digest(point) == digest
+
+    @pytest.mark.parametrize("kind", [None, "resilience", "compose"])
+    def test_backend_field_is_unknown(self, kind):
+        point = {"n": 256, "r": 12, "backend": "bitset"}
+        if kind is not None:
+            point["kind"] = kind
+        with pytest.raises(SpecError, match="unknown"):
+            normalize_point(point)
 
     def test_canonical_json_rejects_nan(self):
         with pytest.raises(ValueError):

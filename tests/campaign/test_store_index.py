@@ -348,3 +348,67 @@ class TestStatusSurfacing:
         store.save_spec(spec)
         _save(store, solution)
         assert "unreadable" not in format_status(spec, tmp_path)
+
+
+def _publish_first_results(roots, rank, barrier, results, solution):
+    """Worker: publish one result into each store, in lockstep with peers.
+
+    Reports the errors it saw as one list on ``results`` when done.
+    """
+    errors = []
+    for root in roots:
+        barrier.wait(timeout=60)
+        try:
+            store = CampaignStore(root, "idx")
+            _save(store, solution, seed=rank, h_aspl=solution.h_aspl + rank)
+        except Exception as exc:  # noqa: BLE001 - reported to the parent
+            errors.append(f"{root.name} worker {rank}: {exc!r}")
+    results.put(errors)
+
+
+class TestFirstPublishRace:
+    """Concurrent first publishes into fresh stores, one writer per process.
+
+    Six processes publish their first result into the same new store at a
+    barrier, store after store: 40 stores bound by ``save_spec`` first (as
+    the executor does) and 40 bare ones (as compose blocks and serve
+    refinement shards use them).  A shared temp name used to crash writers
+    (``FileNotFoundError`` on ``index.jsonl.tmp``) and concurrent
+    first-publish rebuilds could publish an index missing a point.
+    """
+
+    WORKERS = 6
+    TRIALS = 40
+
+    def test_index_equals_scan(self, tmp_path, solution):
+        import multiprocessing
+
+        spec = load_spec({"name": "idx", "grid": {"n": [16], "r": [4]}})
+        roots = []
+        for trial in range(self.TRIALS):
+            bound = tmp_path / f"bound{trial}"
+            CampaignStore(bound, "idx").save_spec(spec)
+            roots += [bound, tmp_path / f"bare{trial}"]
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(self.WORKERS)
+        results = ctx.Queue()
+        workers = [
+            ctx.Process(
+                target=_publish_first_results,
+                args=(roots, rank, barrier, results, solution),
+            )
+            for rank in range(self.WORKERS)
+        ]
+        for worker in workers:
+            worker.start()
+        errors = [e for _ in workers for e in results.get(timeout=120)]
+        for worker in workers:
+            worker.join(timeout=60)
+        assert [w.exitcode for w in workers] == [0] * self.WORKERS
+        assert errors == []
+        for root in roots:
+            store = CampaignStore(root, "idx")
+            assert len(store.index_entries()) == self.WORKERS, root.name
+            best = store.best_for(16, 4)
+            assert best is not None
+            assert best.digest == store.best_for_scan(16, 4).best.digest

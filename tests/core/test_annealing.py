@@ -14,6 +14,7 @@ from repro.core.construct import (
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.metrics import h_aspl
 from repro.core.operations import SwapMove, SwingMove
+from tests.conftest import checked_anneal
 
 
 class TestSchedule:
@@ -177,18 +178,15 @@ class TestAnneal:
         assert 0 <= result.improved <= result.accepted <= result.steps
         assert result.initial_h_aspl >= result.h_aspl
 
-    def test_unknown_evaluator_rejected(self):
-        g = random_host_switch_graph(10, 3, 8, seed=0)
-        with pytest.raises(ValueError, match="evaluator"):
-            anneal(g, evaluator="psychic")
-
 
 class TestEvaluatorEquivalence:
-    """The incremental and full evaluators must anneal bit-identically.
+    """Annealing under the checked evaluator is bit-identical to a plain run.
 
-    Every quantity both evaluators sum is an integer exactly representable
-    in float64, so the evaluators return *equal* floats, consume the same
-    Metropolis draws, and walk the same trajectory.
+    :class:`tests.conftest.CheckedEvaluator` verifies every proposal against
+    the reference kernel and the brute-force h-ASPL, and every commit for
+    switch-graph connectivity; it returns the evaluator's own values, so
+    the checked run must consume the same Metropolis draws and walk the
+    same trajectory.
     """
 
     @pytest.mark.parametrize("operation", ["swap", "swing", "two-neighbor-swing"])
@@ -198,20 +196,15 @@ class TestEvaluatorEquivalence:
         inc = anneal(
             g, operation=operation, schedule=schedule, seed=21, history_every=13
         )
-        full = anneal(
-            g,
-            operation=operation,
-            schedule=schedule,
-            seed=21,
-            history_every=13,
-            evaluator="full",
+        checked = checked_anneal(
+            g, operation=operation, schedule=schedule, seed=21, history_every=13
         )
-        assert inc.h_aspl == full.h_aspl
-        assert inc.diameter == full.diameter
-        assert inc.accepted == full.accepted
-        assert inc.improved == full.improved
-        assert inc.graph == full.graph
-        assert inc.history == full.history
+        assert inc.h_aspl == checked.h_aspl
+        assert inc.diameter == checked.diameter
+        assert inc.accepted == checked.accepted
+        assert inc.improved == checked.improved
+        assert inc.graph == checked.graph
+        assert inc.history == checked.history
 
     def test_bit_identical_with_hostless_switches(self):
         # More switch capacity than hosts: hostless switches force the
@@ -221,8 +214,42 @@ class TestEvaluatorEquivalence:
         assert (g.host_counts() == 0).any()
         schedule = AnnealingSchedule(num_steps=400)
         inc = anneal(g, schedule=schedule, seed=9)
-        full = anneal(g, schedule=schedule, seed=9, evaluator="full")
-        assert inc.h_aspl == full.h_aspl
-        assert inc.diameter == full.diameter
-        assert inc.accepted == full.accepted
-        assert inc.graph == full.graph
+        checked = checked_anneal(g, schedule=schedule, seed=9)
+        assert inc.h_aspl == checked.h_aspl
+        assert inc.diameter == checked.diameter
+        assert inc.accepted == checked.accepted
+        assert inc.graph == checked.graph
+
+
+def _petersen_start() -> HostSwitchGraph:
+    """Petersen switch graph (outer 5-cycle, spokes, inner pentagram), r=4.
+
+    One host per switch, so the start has no hostless switch; swings can
+    empty switches later.
+    """
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return HostSwitchGraph.from_edges(10, 4, edges, list(range(10)))
+
+
+class TestConnectivityInvariant:
+    """Every committed state keeps the switch graph connected.
+
+    A start without hostless switches once skipped the connectivity check
+    for the whole run, so a swing that emptied switches could split off a
+    hostless component (here a K5) and commit it with a finite h-ASPL.
+    """
+
+    @pytest.mark.parametrize(
+        "operation,seed",
+        [("two-neighbor-swing", 99), ("two-neighbor-swing", 217), ("swing", 299)],
+    )
+    def test_hostless_component_never_committed(self, operation, seed):
+        start = _petersen_start()
+        assert start.host_counts().all() and start.is_switch_graph_connected()
+        schedule = AnnealingSchedule(
+            num_steps=3000, initial_temperature=20.0, final_temperature=5.0
+        )
+        result = anneal(start, operation=operation, schedule=schedule, seed=seed)
+        assert result.graph.is_switch_graph_connected()

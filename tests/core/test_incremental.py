@@ -2,9 +2,10 @@
 
 The core guarantee under test: after *every* commit and rollback across
 hundreds of random accepted/rejected moves — including disconnecting moves
-and graphs with hostless switches — the evaluator's value matches the
-from-scratch :func:`repro.core.metrics.h_aspl_and_diameter` to 1e-9 (in
-fact bit-for-bit; the tolerance is the acceptance criterion's wording).
+and graphs with hostless switches — the evaluator's matrix equals the
+reference kernel's APSP and its value matches the from-scratch
+:func:`repro.core.metrics.h_aspl_and_diameter` to 1e-9 (in fact
+bit-for-bit; the tolerance is the acceptance criterion's wording).
 """
 
 from __future__ import annotations
@@ -21,16 +22,24 @@ from repro.core.incremental import (
     IncrementalEvaluatorError,
     _affected_sources,
 )
-from repro.core.kernels import CSRAdjacency, get_backend
+from repro.core.kernels import CSRAdjacency
 from repro.core.metrics import h_aspl_and_diameter, switch_distance_matrix
 from repro.core.operations import (
+    SwapMove,
     SwingMove,
     propose_swap,
     propose_swing,
 )
+from tests.conftest import REFERENCE_KERNEL, CheckedEvaluator
+
+
+def _reference_apsp(graph: HostSwitchGraph) -> np.ndarray:
+    csr = CSRAdjacency.from_graph(graph)
+    return REFERENCE_KERNEL.bfs_distances(csr, np.arange(graph.num_switches))
 
 
 def _assert_matches_metrics(evaluator: IncrementalEvaluator, graph) -> None:
+    assert np.array_equal(evaluator.dist, _reference_apsp(graph))
     expected = h_aspl_and_diameter(graph)[0]
     if math.isinf(expected):
         assert math.isinf(evaluator.value)
@@ -111,20 +120,21 @@ class TestEquivalenceProperty:
 
     def test_oracle_mode_accepts_correct_runs(self):
         graph = random_host_switch_graph(32, 12, 6, seed=4).copy()
-        evaluator = IncrementalEvaluator(graph, oracle=True)
+        evaluator = CheckedEvaluator(graph, connected_commits=False)
         rng = np.random.default_rng(104)
-        _drive_random_moves(graph, evaluator, rng, moves=150)
+        counters = _drive_random_moves(graph, evaluator, rng, moves=150)
+        assert evaluator.checks == counters["proposed"] > 0
 
     def test_oracle_mode_detects_desync(self):
         graph = random_host_switch_graph(32, 12, 6, seed=5).copy()
-        evaluator = IncrementalEvaluator(graph, oracle=True)
+        evaluator = CheckedEvaluator(graph)
         rng = np.random.default_rng(105)
         edges = [tuple(sorted(e)) for e in graph.switch_edges()]
         move = None
         while move is None:
             move = propose_swap(edges, rng, graph)
         # Mutating the graph without routing the move through propose()
-        # desynchronises the evaluator; the oracle must notice.
+        # desynchronises the evaluator; the reference check must notice.
         move.apply(graph)
         other = None
         while other is None:
@@ -132,14 +142,14 @@ class TestEquivalenceProperty:
                 [tuple(sorted(e)) for e in graph.switch_edges()], rng, graph
             )
         other.apply(graph)
-        with pytest.raises(IncrementalEvaluatorError, match="oracle"):
+        with pytest.raises(AssertionError, match="reference APSP"):
             evaluator.propose(other)
 
     def test_two_neighbor_batched_proposal(self):
         # The annealer's step-3 retry: propose [first], roll back, then
         # propose [first, second] relative to the same committed state.
         graph = random_host_switch_graph(40, 12, 7, seed=6).copy()
-        evaluator = IncrementalEvaluator(graph, oracle=True)
+        evaluator = CheckedEvaluator(graph, connected_commits=False)
         rng = np.random.default_rng(106)
         done = 0
         attempts = 0
@@ -216,6 +226,28 @@ class TestProtocol:
         with pytest.raises(ValueError, match="hosts"):
             IncrementalEvaluator(graph)
 
+    def test_failed_proposal_restores_committed_state(self):
+        # A 6-ring: removing {0, 1} repairs rows in place (no fallback)
+        # before the second removed edge {2, 4}, which does not exist,
+        # raises mid-proposal.
+        ring = [(s, (s + 1) % 6) for s in range(6)]
+        graph = HostSwitchGraph.from_edges(6, 3, ring, list(range(6)))
+        evaluator = IncrementalEvaluator(graph, fallback_fraction=1.0)
+        before, value = evaluator.dist.copy(), evaluator.value
+        with pytest.raises(ValueError, match="no switch edge"):
+            evaluator.propose(SwapMove(0, 1, 2, 4))
+        assert np.array_equal(evaluator.dist, before)
+        assert evaluator.value == value
+        evaluator.propose([])  # no proposal left pending
+        evaluator.rollback()
+
+    def test_edits_outside_propose_rejected(self):
+        graph = self._graph()
+        evaluator = IncrementalEvaluator(graph)
+        a, b = next(iter(graph.switch_edges()))
+        with pytest.raises(IncrementalEvaluatorError, match="propose"):
+            evaluator.remove_edge(a, b)
+
     def test_rebuild_resynchronises(self):
         graph = self._graph()
         evaluator = IncrementalEvaluator(graph)
@@ -245,12 +277,12 @@ class TestRepairPrimitives:
         graph = random_host_switch_graph(40, 14, 6, seed=8)
         m = graph.num_switches
         csr = CSRAdjacency.from_graph(graph)
-        dist = get_backend("python").bfs_distances(csr, np.arange(m))
+        dist = REFERENCE_KERNEL.bfs_distances(csr, np.arange(m))
         assert np.array_equal(dist, switch_distance_matrix(graph))
 
     def test_kernel_bfs_reports_unreachable_as_inf(self):
         csr = CSRAdjacency.from_edges(4, [(0, 1)])
-        dist = get_backend("python").bfs_distances(csr, np.arange(4))
+        dist = REFERENCE_KERNEL.bfs_distances(csr, np.arange(4))
         assert dist[0, 1] == 1.0
         assert math.isinf(dist[0, 2])
         assert dist[2, 2] == 0.0
@@ -261,10 +293,10 @@ class TestRepairPrimitives:
         # 2 ran through 1.
         m = 4
         csr = CSRAdjacency.from_edges(m, [(0, 1), (1, 2), (2, 3), (0, 2)])
-        dist = get_backend("python").bfs_distances(csr, np.arange(m))
+        dist = REFERENCE_KERNEL.bfs_distances(csr, np.arange(m))
         stripped = csr.with_edge_removed(1, 2)
         affected = set(_affected_sources(dist, stripped, 1, 2).tolist())
-        after = get_backend("python").bfs_distances(stripped, np.arange(m))
+        after = REFERENCE_KERNEL.bfs_distances(stripped, np.arange(m))
         truly_changed = {
             int(x) for x in range(m) if not np.array_equal(dist[x], after[x])
         }

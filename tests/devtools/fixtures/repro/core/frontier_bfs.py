@@ -2,9 +2,9 @@
 
 Both probes advance a wavefront while filling a distance array by hand
 — exactly the private BFS fork :mod:`repro.core.kernels` exists to
-prevent.  The kernel layer's ``get_backend().bfs_distances`` is batched,
-backend-pluggable, and bit-identical across backends; neither property
-survives a local re-implementation.
+prevent.  The kernel layer's ``KERNEL.bfs_distances`` is batched,
+bit-parallel, and tested bit-identical to the reference kernel; neither
+property survives a local re-implementation.
 """
 
 from collections import deque

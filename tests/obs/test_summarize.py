@@ -67,12 +67,10 @@ class TestSummarizeSections:
             reg.counter("evaluator.proposals").inc(100)
             reg.counter("evaluator.repaired_rows").inc(250)
             reg.counter("evaluator.fallbacks").inc(3)
-            reg.counter("evaluator.oracle_checks").inc(1)
 
         out = summarize_events(_trace(populate))
         assert "rows repaired / move" in out and "2.50" in out
         assert "fallback rebuilds" in out
-        assert "oracle checks" in out
 
     def test_restart_table_sorted_by_index(self):
         def populate(reg):

@@ -2,8 +2,9 @@
 
 The core property here is the PR's acceptance criterion: incremental
 ``apply_fault``/``repair`` on a degraded :class:`RoutingTables` must be
-bit-identical to rebuilding the tables from scratch on the faulted graph,
-over hundreds of random fault/repair sequences.
+bit-identical to rebuilding the tables from scratch on the faulted graph
+with the reference BFS kernel, over hundreds of random fault/repair
+sequences.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import pytest
 
 from repro.core.construct import random_regular_host_switch_graph
 from repro.core.hostswitch import HostSwitchGraph
-from repro.core.metrics import switch_distance_matrix
+from repro.core.kernels import CSRAdjacency
 from repro.faults import link_down, switch_down
 from repro.routing import RoutingTables, UnreachableError
 from repro.routing.valiant import valiant_switch_route
+from tests.conftest import REFERENCE_KERNEL
 
 
 def path_graph(num_switches: int, hosts_per_switch: int = 1) -> HostSwitchGraph:
@@ -49,7 +51,7 @@ def reference_state(tables: RoutingTables):
             faulted.add_switch_edge(a, b)
     for h in range(graph.num_hosts):
         faulted.attach_host(graph.host_attachment(h))
-    dist = switch_distance_matrix(faulted)
+    dist = REFERENCE_KERNEL.bfs_distances(CSRAdjacency.from_graph(faulted), np.arange(m))
     nbrs = [sorted(faulted.neighbors(s)) for s in range(m)]
     return dist, nbrs
 
