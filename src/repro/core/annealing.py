@@ -14,10 +14,15 @@ scores candidates with the delta-repairing
 :class:`repro.core.incremental.IncrementalEvaluator` (propose / commit /
 rollback around each move); ``eval_sources`` switches to the sampled
 estimator for very large instances.  Moves that disconnect any pair of
-hosts evaluate to ``inf`` and are always rejected; while the working graph
-has hostless switches, accepted moves additionally pass a
-whole-switch-graph connectivity check so the paper's "no redundant switch
-is stranded" assumption is preserved.
+hosts evaluate to ``inf`` and are always rejected.  A finite h-ASPL says
+nothing about hostless switches, so every accepted move also passes a
+whole-switch-graph connectivity check, preserving the paper's "no
+redundant switch is stranded" assumption.  Between ``propose`` and
+``commit`` the evaluator's matrix is the candidate's exact all-switch
+APSP, so the check is one row read
+(:meth:`~repro.core.incremental.DynamicDistanceMatrix.is_connected`); the
+sampled path has no matrix and walks the graph, only while the candidate
+has hostless switches.
 """
 
 from __future__ import annotations
@@ -408,9 +413,12 @@ def anneal(
         phase_t0 = now_t
 
     def connectivity_ok() -> bool:
-        # Finite h-ASPL already certifies host-bearing connectivity; a full
-        # check is only needed while the candidate has hostless switches
-        # (a swing can empty one at any step).
+        # Runs between propose and commit/rollback, where the evaluator
+        # holds the candidate's exact all-switch APSP.  The sampled path
+        # has none: finite h-ASPL certifies host-bearing connectivity, so
+        # only a candidate with hostless switches needs the graph walk.
+        if inc is not None:
+            return inc.is_connected()
         return work.host_counts().all() or work.is_switch_graph_connected()
 
     def capture_checkpoint(step_after: int) -> dict[str, Any]:

@@ -13,6 +13,16 @@ matches the paper's model).  Hosts are integers ``0 .. n-1`` stored as an
 attachment array ``host -> switch``; per-switch host *counts* are maintained
 incrementally because the h-ASPL depends on counts only.
 
+The swing operation moves "the highest-id host" off a switch, which the
+attachment array alone answers only by an O(n) scan.  A per-switch host-id
+index (``switch -> set of host ids``) answers it in O(k_s) instead.  It is
+built lazily, on the first :meth:`HostSwitchGraph.move_any_host` call, so
+graphs that never swing (compose fabrics, best-graph snapshots) never pay
+its memory.  :meth:`~HostSwitchGraph.attach_host` and
+:meth:`~HostSwitchGraph.move_host` keep it in sync, :meth:`~HostSwitchGraph.copy`
+does not carry it, and :meth:`~HostSwitchGraph.validate` cross-checks it
+against the attachment array when present.
+
 The structure is mutable with O(1) edge/host moves so the simulated-annealing
 search (Section 5) can apply and undo moves cheaply.
 """
@@ -59,6 +69,7 @@ class HostSwitchGraph:
         "_num_switch_edges",
         "_csr_version",
         "_csr_cache",
+        "_hosts_by_switch",
     )
 
     def __init__(self, num_switches: int, radix: int) -> None:
@@ -69,6 +80,7 @@ class HostSwitchGraph:
         self._host_switch: list[int] = []
         self._hosts_per_switch: list[int] = [0] * num_switches
         self._num_switch_edges = 0
+        self._hosts_by_switch: list[set[int]] | None = None
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -185,9 +197,12 @@ class HostSwitchGraph:
         """Attach a new host to switch ``s`` and return its host id."""
         if self.free_ports(s) < 1:
             raise ValueError(f"switch {s} has no free port for a host")
+        h = len(self._host_switch)
         self._host_switch.append(s)
         self._hosts_per_switch[s] += 1
-        return len(self._host_switch) - 1
+        if self._hosts_by_switch is not None:
+            self._hosts_by_switch[s].add(h)
+        return h
 
     @graph_invariant(touched=lambda self, result, h, to_switch: (result, to_switch))
     def move_host(self, h: int, to_switch: int) -> int:
@@ -200,6 +215,9 @@ class HostSwitchGraph:
         self._host_switch[h] = to_switch
         self._hosts_per_switch[old] -= 1
         self._hosts_per_switch[to_switch] += 1
+        if self._hosts_by_switch is not None:
+            self._hosts_by_switch[old].remove(h)
+            self._hosts_by_switch[to_switch].add(h)
         return old
 
     def move_any_host(self, from_switch: int, to_switch: int) -> int:
@@ -207,15 +225,23 @@ class HostSwitchGraph:
 
         Used by the *swing* operation, which only cares about host counts.
         Returns the id of the host moved.  The highest-id host on
-        ``from_switch`` is chosen so the operation is deterministic.
+        ``from_switch`` is chosen so the operation is deterministic; the
+        first call builds the per-switch host index that finds it.
         """
         if self._hosts_per_switch[from_switch] < 1:
             raise ValueError(f"switch {from_switch} has no host to move")
-        for h in range(len(self._host_switch) - 1, -1, -1):
-            if self._host_switch[h] == from_switch:
-                self.move_host(h, to_switch)
-                return h
-        raise AssertionError("host count desynchronised from attachment array")
+        if self._hosts_by_switch is None:
+            self._hosts_by_switch = self._index_hosts()
+        h = max(self._hosts_by_switch[from_switch])
+        self.move_host(h, to_switch)
+        return h
+
+    def _index_hosts(self) -> list[set[int]]:
+        """The per-switch host-id sets, built from the attachment array."""
+        index: list[set[int]] = [set() for _ in self._adj]
+        for h, s in enumerate(self._host_switch):
+            index[s].add(h)
+        return index
 
     # ------------------------------------------------------------------ #
     # Structure export
@@ -304,6 +330,9 @@ class HostSwitchGraph:
         # the copy is safe and saves a rebuild on the first metric call.
         dup._csr_version = getattr(self, "_csr_version", 0)
         dup._csr_cache = getattr(self, "_csr_cache", None)
+        # The host index is not carried: most copies (best-graph snapshots)
+        # never swing, and one that does rebuilds it on first use.
+        dup._hosts_by_switch = None
         return dup
 
     # ------------------------------------------------------------------ #
@@ -332,7 +361,8 @@ class HostSwitchGraph:
         """Check every structural invariant; raise ``ValueError`` on breach.
 
         Invariants: symmetric simple switch adjacency, radix respected at
-        every switch, host counts consistent with the attachment array.
+        every switch, host counts and (when built) the per-switch host
+        index consistent with the attachment array.
         """
         m = self.num_switches
         edge_count = 0
@@ -359,6 +389,14 @@ class HostSwitchGraph:
                         f"per-switch host counts desynchronised at switch {s}: "
                         f"counter says {self._hosts_per_switch[s]}, attachment "
                         f"array has {counts[s]}"
+                    )
+        index = self._hosts_by_switch
+        if index is not None:
+            for s, attached in enumerate(self._index_hosts()):
+                if index[s] != attached:
+                    raise ValueError(
+                        f"host index desynchronised at switch {s}: index lists "
+                        f"{sorted(index[s])}, attachment array has {sorted(attached)}"
                     )
         for s in range(m):
             used = self.ports_used(s)

@@ -306,7 +306,12 @@ class DynamicDistanceMatrix:
         return self._csr.neighbors(u).copy()
 
     def is_connected(self) -> bool:
-        return not np.isinf(self._dist).any()
+        """Whether the switch graph is connected: one O(m) row read.
+
+        :attr:`dist` is the exact all-switch APSP, so the graph is
+        connected iff switch 0 reaches every switch.
+        """
+        return not np.isinf(self._dist[0]).any()
 
     def remove_edge(self, u: int, v: int) -> int:
         """Remove switch edge ``{u, v}``; returns the repaired row count."""

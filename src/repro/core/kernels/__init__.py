@@ -25,5 +25,5 @@ from repro.core.kernels.csr import CSRAdjacency
 
 __all__ = ["KERNEL", "BitsetBackend", "CSRAdjacency"]
 
-#: The one BFS kernel; its scratch buffers are shared by every caller.
+#: The one BFS kernel, shared by every caller (its scratch buffers are per thread).
 KERNEL = BitsetBackend()

@@ -38,18 +38,21 @@ block.  Each iteration first checks whether every requested (source,
 target) pair is settled and stops before the next advance, so the sweep
 never pays for a level that cannot change the answer.
 
-Work buffers (``reach``, frontier/fresh pair, the edge gather, the
-counter block) are recycled across calls through a small per-shape
-scratch cache on the kernel instance: the repair path calls this
-kernel twice per annealing proposal with identical shapes, and the
-allocator + page-fault cost of cold buffers is measurable there.  The
-returned matrix is always freshly allocated; no caller-visible state
-aliases the scratch arrays.
+Work buffers (``reach``, frontier/fresh pair, the edge gather) are
+recycled across calls through a small per-shape scratch cache: the
+repair path calls this kernel twice per annealing proposal with
+identical shapes, and the allocator + page-fault cost of cold buffers is
+measurable there.  The cache is per thread.  ``repro serve`` runs solves
+in worker threads, and a thread switch (or NumPy releasing the GIL)
+mid-call would otherwise let two same-shape calls overwrite each other's
+bitmaps.  The returned matrix is always freshly allocated; no
+caller-visible state aliases the scratch arrays.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 
 import numpy as np
 
@@ -78,30 +81,26 @@ class BitsetBackend:
     name = "bitset"
 
     def __init__(self) -> None:
-        self._grid: dict[tuple[int, int], dict[str, np.ndarray]] = {}
-        self._edge: dict[tuple[int, int], np.ndarray] = {}
+        self._local = threading.local()
 
-    def _buffers(self, m: int, words: int, nnz: int) -> dict[str, np.ndarray]:
-        """Per-shape work buffers; the repair path reuses them every call."""
-        key = (m, words)
-        buf = self._grid.get(key)
-        if buf is None:
-            if len(self._grid) > 8:  # one live workload at a time; stay tiny
-                self._grid.clear()
-            buf = {
-                name: np.empty((m, words), dtype=np.uint64)
-                for name in ("reach", "frontier", "fresh", "scratch")
-            }
-            self._grid[key] = buf
-        ekey = (nnz, words)
-        gathered = self._edge.get(ekey)
+    def _buffers(self, m: int, words: int, nnz: int) -> tuple[np.ndarray, ...]:
+        """This thread's ``(reach, frontier, fresh, scratch, gathered)``."""
+        local = self._local
+        if not hasattr(local, "grid"):
+            local.grid, local.edge = {}, {}
+        grid = local.grid.get((m, words))
+        if grid is None:
+            if len(local.grid) > 8:  # one live workload at a time; stay tiny
+                local.grid.clear()
+            grid = tuple(np.empty((m, words), dtype=np.uint64) for _ in range(4))
+            local.grid[(m, words)] = grid
+        gathered = local.edge.get((nnz, words))
         if gathered is None:
-            if len(self._edge) > 8:
-                self._edge.clear()
+            if len(local.edge) > 8:
+                local.edge.clear()
             gathered = np.empty((nnz, words), dtype=np.uint64)
-            self._edge[ekey] = gathered
-        buf["gathered"] = gathered
-        return buf
+            local.edge[(nnz, words)] = gathered
+        return (*grid, gathered)
 
     def bfs_distances(
         self,
@@ -123,8 +122,7 @@ class BitsetBackend:
 
         indptr = csr.indptr
         indices = csr.indices
-        buf = self._buffers(m, words, len(indices))
-        reach = buf["reach"]
+        reach, frontier, fresh, scratch, gathered = self._buffers(m, words, len(indices))
         reach[:] = 0
         # Strictly-increasing sources (the common repair-path input) are
         # unique by construction; otherwise dedupe-check before scatter.
@@ -143,11 +141,7 @@ class BitsetBackend:
         nonempty = np.flatnonzero(np.diff(indptr) > 0)
         full_rows = len(nonempty) == m
         starts = indptr[nonempty].astype(np.int64)
-        frontier = buf["frontier"]
         frontier[:] = reach
-        fresh = buf["fresh"]
-        gathered = buf["gathered"]
-        scratch = buf["scratch"]
         sub = scratch if tgt is None else np.empty((cols, words), dtype=np.uint64)
         acc = np.zeros((cols, num), dtype=np.uint32)
         settled = False

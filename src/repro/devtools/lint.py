@@ -256,8 +256,18 @@ _NP_RANDOM_ALLOWED = frozenset(
 )
 
 # HostSwitchGraph.__slots__ — touching these outside repro/core is REP005.
+# A test pins this set equal to the class's slots.
 _HOSTSWITCH_SLOTS = frozenset(
-    {"_adj", "_host_switch", "_hosts_per_switch", "_num_switch_edges", "_radix"}
+    {
+        "_adj",
+        "_csr_cache",
+        "_csr_version",
+        "_host_switch",
+        "_hosts_by_switch",
+        "_hosts_per_switch",
+        "_num_switch_edges",
+        "_radix",
+    }
 )
 
 _WAIVER_RE = re.compile(

@@ -89,10 +89,12 @@ class CheckedEvaluator(IncrementalEvaluator):
     """Oracle mode: an :class:`IncrementalEvaluator` checked at every step.
 
     Every proposal's repaired matrix must equal :data:`REFERENCE_KERNEL`'s
-    APSP of the bound graph, its host counts the graph's, and its value
-    :func:`brute_force_h_aspl` bit for bit.  Every commit must leave a
-    connected switch graph — the annealer's invariant; tests that commit
-    disconnecting moves on purpose pass ``connected_commits=False``.
+    APSP of the bound graph, its host counts the graph's, its value
+    :func:`brute_force_h_aspl` bit for bit, and its row-read
+    :meth:`is_connected` the graph's own walk.  Every commit must leave a
+    connected switch graph (checked by that walk) — the annealer's
+    invariant; tests that commit disconnecting moves on purpose pass
+    ``connected_commits=False``.
     Annealing tests monkeypatch it into ``repro.core.annealing``.
     """
 
@@ -109,6 +111,7 @@ class CheckedEvaluator(IncrementalEvaluator):
         expected = REFERENCE_KERNEL.bfs_distances(csr, np.arange(graph.num_switches))
         assert np.array_equal(self.dist, expected), "repaired matrix != reference APSP"
         assert np.array_equal(self._k, graph.host_counts()), "host counts != graph"
+        assert self.is_connected() == graph.is_switch_graph_connected(), "row read != walk"
         reference = brute_force_h_aspl(graph)
         assert value == reference or math.isinf(value) and math.isinf(reference), (
             f"incremental h-ASPL {value!r} != brute force {reference!r}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.annealing import AnnealingResult, AnnealingSchedule, anneal
@@ -253,3 +255,66 @@ class TestConnectivityInvariant:
         )
         result = anneal(start, operation=operation, schedule=schedule, seed=seed)
         assert result.graph.is_switch_graph_connected()
+
+    @pytest.mark.parametrize(
+        "operation,seed,accepted,trajectory",
+        [
+            ("two-neighbor-swing", 99, 1185, "5f14f65645f4eca4"),
+            ("two-neighbor-swing", 217, 1256, "e81be1ded91af4a2"),
+            ("swing", 299, 1867, "fea962b4ff96a1a2"),
+        ],
+    )
+    def test_checked_runs_keep_pinned_trajectories(
+        self, operation, seed, accepted, trajectory
+    ):
+        # The checked evaluator walks the switch graph at every commit; the
+        # pinned accept counts and step-by-step history digests are the
+        # trajectories a graph walk at every accept produces.
+        kwargs = {
+            "operation": operation,
+            "schedule": AnnealingSchedule(
+                num_steps=3000, initial_temperature=20.0, final_temperature=5.0
+            ),
+            "seed": seed,
+            "history_every": 1,
+        }
+        for result in (
+            anneal(_petersen_start(), **kwargs),
+            checked_anneal(_petersen_start(), **kwargs),
+        ):
+            digest = hashlib.sha256(repr(result.history).encode()).hexdigest()
+            assert (result.accepted, digest[:16]) == (accepted, trajectory)
+
+
+def _count_graph_walks(monkeypatch) -> list[int]:
+    """Count ``HostSwitchGraph.is_switch_graph_connected`` calls."""
+    calls = [0]
+    walk = HostSwitchGraph.is_switch_graph_connected
+
+    def counted(self):
+        calls[0] += 1
+        return walk(self)
+
+    monkeypatch.setattr(HostSwitchGraph, "is_switch_graph_connected", counted)
+    return calls
+
+
+class TestConnectivityCheckSource:
+    """Where each scoring path gets its per-accept connectivity answer."""
+
+    def test_incremental_path_reads_the_evaluator(self, monkeypatch):
+        g = random_host_switch_graph(18, 20, 5, seed=6)
+        assert (g.host_counts() == 0).any()
+        calls = _count_graph_walks(monkeypatch)
+        result = anneal(g, schedule=AnnealingSchedule(num_steps=400), seed=9)
+        assert result.accepted > 0
+        assert calls == [0]
+
+    def test_sampled_path_walks_the_graph(self, monkeypatch):
+        g = random_host_switch_graph(18, 20, 5, seed=6)
+        calls = _count_graph_walks(monkeypatch)
+        result = anneal(
+            g, schedule=AnnealingSchedule(num_steps=400), seed=9, eval_sources=6
+        )
+        assert result.accepted > 0
+        assert calls[0] > 0

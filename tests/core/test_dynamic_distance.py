@@ -90,6 +90,41 @@ class TestRemoveAdd:
             ddm.neighbors(99)
 
 
+class TestIsConnected:
+    """The row-0 read agrees with the graph's own walk."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_graph_walk_across_partition_and_repair(self, seed):
+        graph = random_regular_host_switch_graph(30, 10, 6, seed=seed)
+        mirror = graph.copy()
+        ddm = DynamicDistanceMatrix(graph)
+        rng = np.random.default_rng(seed)
+        edges = sorted(graph.switch_edges())
+        removed: list[tuple[int, int]] = []
+        seen = set()
+        for _ in range(80):
+            roll = rng.random()
+            if removed and roll < 0.4:
+                edge = removed.pop(int(rng.integers(len(removed))))
+                ddm.add_edge(*edge)
+                mirror.add_switch_edge(*edge)
+            elif roll < 0.5:
+                for edge in ddm.remove_switch(int(rng.integers(graph.num_switches))):
+                    mirror.remove_switch_edge(*edge)
+                    removed.append(edge)
+            else:
+                edge = edges[int(rng.integers(len(edges)))]
+                if not ddm.has_edge(*edge):
+                    continue
+                ddm.remove_edge(*edge)
+                mirror.remove_switch_edge(*edge)
+                removed.append(edge)
+            connected = mirror.is_switch_graph_connected()
+            assert ddm.is_connected() == connected
+            seen.add(connected)
+        assert seen == {True, False}
+
+
 class TestRemoveSwitch:
     def test_returns_sorted_incident_edges(self, fig1_graph):
         ddm = DynamicDistanceMatrix(fig1_graph)

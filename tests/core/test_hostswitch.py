@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hostswitch import HostSwitchGraph
+from repro.core.serialization import graph_from_text, graph_to_text
 
 
 class TestConstruction:
@@ -228,4 +233,71 @@ class TestValidateDiagnostics:
             match=r"desynchronised at switch 1: counter says 0, "
             r"attachment array has 1",
         ):
+            g.validate()
+
+
+class TestHostIndex:
+    """The lazy per-switch host index behind ``move_any_host``."""
+
+    def test_built_lazily_and_not_copied(self):
+        g = HostSwitchGraph.from_edges(3, 6, [(0, 1), (1, 2)], [0, 0, 1, 2])
+        assert g._hosts_by_switch is None
+        g.attach_host(2)
+        g.move_host(0, 1)
+        assert g._hosts_by_switch is None
+        assert g.move_any_host(0, 2) == 1
+        assert g._hosts_by_switch == [set(), {0, 2}, {1, 3, 4}]
+        assert g.copy()._hosts_by_switch is None
+        g.validate()
+
+    def test_validate_rejects_desynchronised_index(self):
+        g = HostSwitchGraph.from_edges(3, 6, [(0, 1), (1, 2)], [0, 0, 1, 2])
+        g.move_any_host(0, 2)
+        g._hosts_by_switch[2].discard(1)  # corrupt internals deliberately
+        g._hosts_by_switch[0].add(1)
+        with pytest.raises(
+            ValueError,
+            match=r"host index desynchronised at switch 0: index lists \[0, 1\], "
+            r"attachment array has \[0\]",
+        ):
+            g.validate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["attach", "move", "move_any", "copy", "text", "pickle"]),
+                st.integers(0, 2**32),
+            ),
+            max_size=40,
+        )
+    )
+    def test_move_any_host_matches_highest_id_scan(self, ops):
+        g = HostSwitchGraph.from_edges(5, 6, [(0, 1), (1, 2), (2, 3), (3, 4)], [0, 2, 2, 4])
+        for op, draw in ops:
+            switches = range(g.num_switches)
+            open_ports = [s for s in switches if g.free_ports(s) > 0]
+            if op == "attach" and open_ports:
+                s = open_ports[draw % len(open_ports)]
+                assert g.attach_host(s) == g.num_hosts - 1
+            elif op == "move" and open_ports:
+                h = draw % g.num_hosts
+                g.move_host(h, open_ports[(draw // g.num_hosts) % len(open_ports)])
+            elif op == "move_any":
+                sources = [s for s in switches if g.hosts_on(s) > 0]
+                source = sources[draw % len(sources)]
+                targets = [s for s in open_ports if s != source]
+                if targets:
+                    expected = max(
+                        h for h in range(g.num_hosts) if g.host_attachment(h) == source
+                    )
+                    target = targets[(draw // len(sources)) % len(targets)]
+                    assert g.move_any_host(source, target) == expected
+                    assert g.host_attachment(expected) == target
+            elif op == "copy":
+                g = g.copy()
+            elif op == "text":
+                g = graph_from_text(graph_to_text(g))
+            elif op == "pickle":
+                g = pickle.loads(pickle.dumps(g))
             g.validate()

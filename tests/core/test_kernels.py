@@ -12,6 +12,9 @@ meaningful and achievable bar.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -187,3 +190,46 @@ def test_empty_and_degenerate_shapes(kernel):
     assert np.array_equal(
         fast.bfs_distances(lone, np.array([0])), np.array([[0.0]])
     )
+
+
+def test_concurrent_calls_match_serial_results():
+    """Threads sharing :data:`KERNEL` get their serial answers.
+
+    ``repro serve`` runs solves in worker threads.  The graphs share one
+    shape, so a scratch cache shared across threads would hand every call
+    the same bitmaps; a tiny switch interval makes thread switches
+    mid-call frequent enough to expose that on every run.
+    """
+    threads = 3
+    csrs = [
+        CSRAdjacency.from_graph(random_host_switch_graph(300, 96, 9, seed=seed))
+        for seed in range(threads)
+    ]
+    rng = np.random.default_rng(0)
+    sources = [np.sort(rng.choice(96, size=90, replace=False)) for _ in range(threads)]
+    serial = [KERNEL.bfs_distances(c, s) for c, s in zip(csrs, sources)]
+    mismatches = [0] * threads
+    errors: list[Exception] = []
+    barrier = threading.Barrier(threads)
+
+    def work(i: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            for _ in range(40):
+                if not np.array_equal(KERNEL.bfs_distances(csrs[i], sources[i]), serial[i]):
+                    mismatches[i] += 1
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert errors == [] and mismatches == [0] * threads

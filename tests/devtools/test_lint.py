@@ -236,6 +236,13 @@ def test_rep005_quiet_inside_core_package():
     assert codes(src, path=CORE_PATH) == []
 
 
+def test_rep005_slot_list_matches_hostswitch_slots():
+    from repro.core.hostswitch import HostSwitchGraph
+    from repro.devtools.lint import _HOSTSWITCH_SLOTS
+
+    assert _HOSTSWITCH_SLOTS == frozenset(HostSwitchGraph.__slots__)
+
+
 # --------------------------------------------------------------------- #
 # REP006 — exact h-ASPL in repro.core loops (IncrementalEvaluator applies)
 # --------------------------------------------------------------------- #
