@@ -265,16 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="drain after N annealer checkpoints "
                                  "(deterministic interrupt for tests/CI)")
 
-    # `repro lint` delegates wholesale to the repro-lint driver; its argv is
-    # captured verbatim (main() short-circuits before this parser runs, the
-    # entry here exists so `repro --help` lists the subcommand).
-    p = sub.add_parser(
-        "lint",
-        help="run repro-lint over paths (same CLI as the repro-lint script)",
-        add_help=False,
-    )
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-
     p = add_command("serve", help="topology-as-a-service daemon over a store root")
     p.add_argument("--store", default="campaigns",
                    help="campaign store root to serve (default: campaigns)")
@@ -898,15 +888,6 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # Hand the remaining argv to the repro-lint driver untouched, so
-        # `repro lint ...` and the `repro-lint ...` console script accept
-        # exactly the same flags (--format, --fix, --baseline, ...).
-        from repro.devtools.lint import main as lint_main
-
-        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     _configure_logging(getattr(args, "log_level", "info"))
     telemetry = _telemetry_from_args(args)

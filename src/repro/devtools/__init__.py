@@ -1,29 +1,12 @@
 """Developer tooling for the ORP reproduction.
 
-Hosts ``repro-lint``: the fast per-file static-analysis tier
-(:mod:`repro.devtools.lint`, REP001-REP009), the whole-program dataflow
-tier (:mod:`repro.devtools.flow`, REP010-REP013), report rendering and
-baselines (:mod:`repro.devtools.report`), and the autofix engine
-(:mod:`repro.devtools.fixes`).  Runtime enforcement of the same
-conventions lives in :mod:`repro.utils.contracts`.
+Hosts ``repro-lint``: the per-file rules (:mod:`repro.devtools.lint`)
+and the whole-program dataflow rules REP010-REP013
+(:mod:`repro.devtools.flow`), applied together in one run.  Runtime
+enforcement of the same conventions lives in
+:mod:`repro.utils.contracts`.
+
+Nothing is imported here: ``python -m repro.devtools.lint`` imports this
+package first, and a package that had already imported ``lint`` would
+make runpy warn that the module is executed twice.
 """
-
-from repro.devtools.lint import (
-    FLOW_RULES,
-    RULES,
-    Diagnostic,
-    Edit,
-    lint_paths,
-    lint_source,
-    main,
-)
-
-__all__ = [
-    "Diagnostic",
-    "Edit",
-    "FLOW_RULES",
-    "RULES",
-    "lint_paths",
-    "lint_source",
-    "main",
-]

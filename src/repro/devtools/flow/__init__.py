@@ -16,8 +16,8 @@ pattern matching:
 - :mod:`repro.devtools.flow.rules` — the flow rules REP010..REP013 built
   on top of the engine and summaries.
 
-The package is pure stdlib and is invoked from the ``repro-lint`` driver
-(``--no-flow`` / ``--flow-only`` select the tier).
+The package is pure stdlib; every ``repro-lint`` run applies it after
+the per-file rules.
 """
 
 from repro.devtools.flow.cfg import CFG, CFGEdge, CFGNode, build_cfg

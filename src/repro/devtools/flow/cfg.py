@@ -126,21 +126,6 @@ class CFG:
                 stack.append(edge.dst)
         return seen
 
-    def reaching(
-        self, targets: set[int], *, skip_kinds: frozenset[str] = frozenset()
-    ) -> set[int]:
-        """Node ids from which some node in ``targets`` is reachable."""
-        seen = set(targets)
-        stack = list(targets)
-        while stack:
-            cur = stack.pop()
-            for edge in self.preds.get(cur, []):
-                if edge.kind in skip_kinds or edge.src in seen:
-                    continue
-                seen.add(edge.src)
-                stack.append(edge.src)
-        return seen
-
 
 @dataclass
 class _LoopFrame:

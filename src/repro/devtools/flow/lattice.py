@@ -13,8 +13,8 @@ Tags used by the shipped rules:
 ``pnone:<param>``
     The value may be ``None`` because it (transitively) came from
     parameter ``<param>`` whose declared default is ``None``.  Carrying
-    the parameter name lets REP010 anchor its autofix at the parameter's
-    default rather than at the use site.
+    the parameter name lets REP010 name the parameter whose default
+    needs an integer seed, not just the use site.
 """
 
 from __future__ import annotations

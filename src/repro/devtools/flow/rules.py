@@ -1,4 +1,4 @@
-"""The flow-tier rules REP010-REP013.
+"""The flow rules REP010-REP013.
 
 Each rule runs over the whole-program :class:`ProjectIndex` plus, where
 path sensitivity matters, a per-function CFG and the forward taint
@@ -11,7 +11,7 @@ REP010
     entropy carrier (``as_generator``, ``default_rng``, ``SeedSequence``)
     fires; ``x is not None`` guards and conditional expressions are
     respected via branch refinement.  Direct no-argument ``default_rng()``
-    and ``random.*`` call sites stay REP001's (the fast tier) — REP010
+    and ``random.*`` call sites stay REP001's, in every package — REP010
     owns everything the call-site view cannot see.
 REP011
     Cross-process fan-out hazards around ``ProcessPoolExecutor``:
@@ -21,12 +21,14 @@ REP011
     varies run to run, so order-sensitive folds must key by dispatch
     index instead.
 REP012
-    CFG-exact restore safety, generalizing REP009: a paired mutation
-    (``apply``/``undo``, ``remove_edge``/``add_edge``, ...) on the same
-    receiver with the same arguments fires when some node between the
-    mutation and its restore has an exceptional edge escaping the
-    restoring region.  Unlike REP009 this needs no loop, no ``repro.analysis``
-    module, and is exact about *which* paths restore.
+    CFG-exact restore safety: a paired mutation (``apply``/``undo``,
+    ``remove_edge``/``add_edge``, ...) on the same receiver with the same
+    arguments fires when some node between the mutation and its restore
+    has an exceptional edge escaping the restoring region.  The bulk
+    ``remove_switch`` is restored by any ``add_edge``/``add_switch_edge``
+    on its receiver, also after the loop that took the switches down.
+    It needs no loop and no package scoping, and is exact about *which*
+    paths restore.
 REP013
     Telemetry instrument names must be literals from the
     ``repro.obs.names.INSTRUMENTS`` registry (directly, via a module
@@ -41,7 +43,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.devtools.flow.cfg import BACK, CFG, EXC, build_cfg
+from repro.devtools.flow.cfg import BACK, CFG, EXC, CFGEdge, build_cfg
 from repro.devtools.flow.engine import FlowResult, solve_forward
 from repro.devtools.flow.lattice import (
     EMPTY_TAGS,
@@ -61,7 +63,6 @@ from repro.devtools.flow.summaries import (
 )
 from repro.devtools.lint import (  # repro-lint: disable=REP005 -- flow is devtools-internal
     Diagnostic,
-    Edit,
     _FileContext,
 )
 
@@ -70,7 +71,8 @@ __all__ = ["FlowStats", "flow_lint"]
 #: Packages whose entry points must be seedable end to end (REP010).
 _REP010_SCOPE = ("repro.core", "repro.simulation", "repro.campaign", "repro.faults")
 
-#: Mutation method -> its paired restore method (REP012).
+#: Mutation method -> its paired restore method (REP012); the restore must
+#: repeat the mutation's receiver and arguments.
 _REP012_PAIRS = {
     "apply": "undo",
     "remove_switch_edge": "add_switch_edge",
@@ -78,7 +80,11 @@ _REP012_PAIRS = {
     "fail_link": "repair_link",
     "fail_switch": "repair_switch",
 }
-_REP012_RESTORERS = frozenset(_REP012_PAIRS.values())
+#: Bulk mutation -> its restore methods (REP012).  ``remove_switch`` takes
+#: down every edge at a switch and returns them, so an edge add on the same
+#: receiver restores it whatever its arguments.
+_REP012_BULK = {"remove_switch": frozenset({"add_edge", "add_switch_edge"})}
+_REP012_RESTORERS = frozenset(_REP012_PAIRS.values()).union(*_REP012_BULK.values())
 
 #: Registry methods whose first argument is an instrument name (REP013).
 _TEL_METHODS = frozenset({"counter", "gauge", "timer", "histogram", "span", "event"})
@@ -92,7 +98,7 @@ _FOLD_METHODS = frozenset({"append", "extend", "merge", "event"})
 
 @dataclass
 class FlowStats:
-    """Aggregate accounting for one flow-tier run (asserted in tests)."""
+    """Aggregate accounting for one flow-rule run (asserted in tests)."""
 
     functions_analyzed: int = 0
     dataflow_iterations: int = 0
@@ -275,7 +281,43 @@ def _calls_with_env(env: Env, node: ast.AST) -> Iterator[tuple[ast.Call, Env]]:
         yield from _calls_with_env(env, child)
 
 
-def _forward_until(cfg: CFG, start: int, stops: set[int]) -> set[int]:
+def _loop_bodies(cfg: CFG) -> dict[int, set[int]]:
+    """Loop head -> every node of its loop (the natural loops of its back edges)."""
+    bodies: dict[int, set[int]] = {}
+    for edges in cfg.succs.values():
+        for edge in edges:
+            if edge.kind != BACK:
+                continue
+            body = bodies.setdefault(edge.dst, {edge.dst})
+            stack = [edge.src]
+            while stack:
+                cur = stack.pop()
+                if cur not in body:
+                    body.add(cur)
+                    stack.extend(pred.src for pred in cfg.preds.get(cur, []))
+    return bodies
+
+
+def _follows(edge: CFGEdge, open_heads: set[int]) -> bool:
+    """REP012 walks a back edge only into a loop in ``open_heads``."""
+    return edge.kind != BACK or edge.dst in open_heads
+
+
+def _reaching(cfg: CFG, targets: set[int], open_heads: set[int]) -> set[int]:
+    """Nodes from which some node in ``targets`` is reachable."""
+    seen = set(targets)
+    stack = list(targets)
+    while stack:
+        for edge in cfg.preds.get(stack.pop(), []):
+            if _follows(edge, open_heads) and edge.src not in seen:
+                seen.add(edge.src)
+                stack.append(edge.src)
+    return seen
+
+
+def _forward_until(
+    cfg: CFG, start: int, stops: set[int], open_heads: set[int]
+) -> set[int]:
     """Forward reach from ``start`` that does not expand past ``stops``."""
     seen = {start}
     stack = [start]
@@ -284,10 +326,9 @@ def _forward_until(cfg: CFG, start: int, stops: set[int]) -> set[int]:
         if cur in stops and cur != start:
             continue
         for edge in cfg.succs.get(cur, []):
-            if edge.kind == BACK or edge.dst in seen:
-                continue
-            seen.add(edge.dst)
-            stack.append(edge.dst)
+            if _follows(edge, open_heads) and edge.dst not in seen:
+                seen.add(edge.dst)
+                stack.append(edge.dst)
     return seen
 
 
@@ -316,19 +357,13 @@ class _ModuleChecker:
     def _enabled(self, code: str) -> bool:
         return self.select is None or code in self.select
 
-    def _report(
-        self,
-        code: str,
-        node: ast.AST,
-        message: str,
-        fix: tuple[Edit, ...] = (),
-    ) -> None:
+    def _report(self, code: str, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 1)
         end = getattr(node, "end_lineno", None) or line
         col = getattr(node, "col_offset", 0)
         if self.ctx.waived_span(code, line, end):
             return
-        self.diags.append(Diagnostic(self.ctx.path, line, col, code, message, fix))
+        self.diags.append(Diagnostic(self.ctx.path, line, col, code, message))
 
     # -- driver ---------------------------------------------------------- #
 
@@ -367,18 +402,12 @@ class _ModuleChecker:
             env = flow.state_at(node.idx)
             for anchor in node.anchors:
                 for call, call_env in _calls_with_env(env, anchor):
-                    self._rep010_call(fi, cls, call, call_env)
+                    self._rep010_call(cls, call, call_env)
 
-    def _rep010_call(
-        self,
-        fi: FunctionInfo,
-        cls: ast.ClassDef | None,
-        call: ast.Call,
-        env: Env,
-    ) -> None:
+    def _rep010_call(self, cls: ast.ClassDef | None, call: ast.Call, env: Env) -> None:
         kind = entropy_builtin(self.mod, call)
         if kind == "random_module":
-            return  # direct random.* call sites are REP001's (fast tier)
+            return  # direct random.* call sites are REP001's
         if kind in ("default_rng", "SeedSequence"):
             arg = call.args[0] if call.args else None
             if arg is None and not call.keywords:
@@ -391,7 +420,7 @@ class _ModuleChecker:
                     )
                 return  # bare default_rng() is REP001's call-site finding
             if arg is not None:
-                self._rep010_tainted(fi, call, _expr_tags(env, arg), f"{kind}()")
+                self._rep010_tainted(call, _expr_tags(env, arg), f"{kind}()")
             return
         resolved = self.index.resolve_call(self.mod, call, cls=cls)
         if resolved is None:
@@ -425,37 +454,25 @@ class _ModuleChecker:
                 )
                 continue
             self._rep010_tainted(
-                fi, call, _expr_tags(env, arg), f"'{callee.name}' via '{param}'"
+                call, _expr_tags(env, arg), f"'{callee.name}' via '{param}'"
             )
 
-    def _rep010_tainted(
-        self, fi: FunctionInfo, call: ast.Call, tags: Tags, sink: str
-    ) -> None:
+    def _rep010_tainted(self, call: ast.Call, tags: Tags, sink: str) -> None:
         nones = none_tags(tags)
         if not nones:
             return
-        origins: list[str] = []
-        fix: tuple[Edit, ...] = ()
-        for tag in sorted(nones):
-            if tag == TAG_NONE:
-                origins.append("a locally assigned None")
-                continue
-            param = tag.split(":", 1)[1]
-            origins.append(f"parameter '{param}' (default None)")
-            default = fi.none_defaults.get(param)
-            end_lineno = getattr(default, "end_lineno", None)
-            end_col = getattr(default, "end_col_offset", None)
-            if default is not None and end_lineno is not None and end_col is not None:
-                fix += (
-                    Edit(default.lineno, default.col_offset, end_lineno, end_col, "0"),
-                )
+        origins = [
+            "a locally assigned None"
+            if tag == TAG_NONE
+            else f"parameter '{tag.split(':', 1)[1]}' (default None)"
+            for tag in sorted(nones)
+        ]
         self._report(
             "REP010",
             call,
             f"may-be-None seed from {', '.join(origins)} reaches {sink}; "
             "ambient OS entropy makes the run unreplayable (default the "
             "parameter to an integer seed)",
-            fix,
         )
 
     # -- REP011 ----------------------------------------------------------- #
@@ -599,29 +616,49 @@ class _ModuleChecker:
                     key = pair_key(sub)
                     if key is None:
                         continue
-                    if tail in _REP012_PAIRS:
+                    if tail in _REP012_PAIRS or tail in _REP012_BULK:
                         mutations.append((node.idx, sub, tail, key))
                     if tail in _REP012_RESTORERS:
                         restores.setdefault((tail, key), set()).add(node.idx)
 
+        bodies = _loop_bodies(cfg) if mutations else {}
         for m_idx, call, tail, key in mutations:
-            r_nodes = set(restores.get((_REP012_PAIRS[tail], key), set()))
-            r_nodes.discard(m_idx)
+            # An exact pair restores within one iteration: a loop rebinds the
+            # arguments, so no walk goes round a back edge.  A bulk restore
+            # matches on the receiver alone, so the walk may finish the loops
+            # that hold no restore (``for s in picked: remove_switch(s)``).
+            if tail in _REP012_BULK:
+                matched = {
+                    (r_tail, idx)
+                    for (r_tail, r_key), idxs in restores.items()
+                    if r_tail in _REP012_BULK[tail] and r_key[0] == key[0]
+                    for idx in idxs
+                }
+            else:
+                r_tail = _REP012_PAIRS[tail]
+                matched = {(r_tail, idx) for idx in restores.get((r_tail, key), ())}
+            r_nodes = {idx for _, idx in matched if idx != m_idx}
             if not r_nodes:
                 continue
-            canreach = cfg.reaching(set(r_nodes), skip_kinds=frozenset({BACK}))
+            open_heads = (
+                {h for h, body in bodies.items() if not body & r_nodes}
+                if tail in _REP012_BULK
+                else set()
+            )
+            canreach = _reaching(cfg, r_nodes, open_heads)
             if m_idx not in canreach:
                 continue  # this mutation's paths never restore by design
-            region = _forward_until(cfg, m_idx, r_nodes)
+            region = _forward_until(cfg, m_idx, r_nodes, open_heads)
             if self._rep012_escapes(cfg, m_idx, r_nodes, region, canreach):
                 recv = ".".join(key[0])
+                restore = "/".join(sorted({r for r, idx in matched if idx in r_nodes}))
                 self._report(
                     "REP012",
                     call,
                     f"'{recv}.{tail}(...)' may escape on an exception path "
-                    f"before its paired '{_REP012_PAIRS[tail]}' runs, leaving "
+                    f"before its paired '{restore}' runs, leaving "
                     "shared state corrupted for the caller; restore in a "
-                    "finally block or undo-and-reraise (CFG-exact REP009)",
+                    "finally block or undo-and-reraise",
                 )
 
     def _rep012_escapes(
@@ -790,7 +827,7 @@ def flow_lint(
     registry: frozenset[str] | None = None,
     select: set[str] | None = None,
 ) -> tuple[list[Diagnostic], FlowStats]:
-    """Run the flow tier over ``files``; returns (diagnostics, stats).
+    """Run the flow rules over ``files``; returns (diagnostics, stats).
 
     ``registry`` overrides the instrument registry (tests); by default it
     is parsed from ``repro.obs.names`` in the linted tree.  ``select``

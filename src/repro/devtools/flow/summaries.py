@@ -26,6 +26,10 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.devtools.lint import (  # repro-lint: disable=REP005 -- flow is devtools-internal
+    _module_name_for,
+)
+
 __all__ = [
     "FunctionInfo",
     "ModuleInfo",
@@ -35,17 +39,6 @@ __all__ = [
 ]
 
 FunctionLike = ast.FunctionDef | ast.AsyncFunctionDef
-
-
-def _module_name_for(path: Path) -> str:
-    """Dotted module name for a file, anchored at the ``repro`` package."""
-    parts = list(path.resolve().parts)
-    name = path.stem
-    if "repro" in parts:
-        idx = len(parts) - 1 - parts[::-1].index("repro")
-        mods = list(parts[idx:-1]) + ([] if name == "__init__" else [name])
-        return ".".join(mods)
-    return name
 
 
 def _dotted(node: ast.expr) -> tuple[str, ...] | None:
@@ -69,14 +62,10 @@ class FunctionInfo:
     cls: str | None = None
     bases: tuple[str, ...] = ()
     params: list[str] = field(default_factory=list)
-    #: parameter name -> its literal ``None`` default expression node.
-    none_defaults: dict[str, ast.expr] = field(default_factory=dict)
+    #: parameters whose declared default is a literal ``None``.
+    none_defaults: frozenset[str] = frozenset()
     ambient_always: bool = False
     ambient_if_none: set[str] = field(default_factory=set)
-
-    @property
-    def is_method(self) -> bool:
-        return self.cls is not None
 
 
 @dataclass
@@ -99,21 +88,19 @@ class ModuleInfo:
     np_random_aliases: set[str] = field(default_factory=set)
 
 
-def _collect_params(fn: FunctionLike) -> tuple[list[str], dict[str, ast.expr]]:
+def _collect_params(fn: FunctionLike) -> tuple[list[str], frozenset[str]]:
     args = fn.args
     params = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
-    none_defaults: dict[str, ast.expr] = {}
     positional = [*args.posonlyargs, *args.args]
-    for arg, default in zip(reversed(positional), reversed(args.defaults)):
-        if isinstance(default, ast.Constant) and default.value is None:
-            none_defaults[arg.arg] = default
-    for arg, kw_default in zip(args.kwonlyargs, args.kw_defaults):
-        if (
-            kw_default is not None
-            and isinstance(kw_default, ast.Constant)
-            and kw_default.value is None
-        ):
-            none_defaults[arg.arg] = kw_default
+    defaults = [
+        *zip(reversed(positional), reversed(args.defaults)),
+        *zip(args.kwonlyargs, args.kw_defaults),
+    ]
+    none_defaults = frozenset(
+        arg.arg
+        for arg, default in defaults
+        if isinstance(default, ast.Constant) and default.value is None
+    )
     return params, none_defaults
 
 
@@ -180,12 +167,6 @@ class ProjectIndex:
 
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
     summary_rounds: int = 0
-
-    def module_for_path(self, path: str) -> ModuleInfo | None:
-        for info in self.modules.values():
-            if info.path == path:
-                return info
-        return None
 
     # -- call resolution ------------------------------------------------ #
 

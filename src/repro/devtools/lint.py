@@ -3,9 +3,9 @@
 The ORP reproduction's correctness hinges on invariants the paper states
 but Python cannot express: every run must be replayable from one seed,
 every constructed :class:`~repro.core.hostswitch.HostSwitchGraph` must
-satisfy its radix accounting, and h-ASPL evaluation must use batched APSP
-(tiny metric errors flip optimality conclusions).  This module checks
-those conventions with a pure-stdlib AST pass.
+satisfy its radix accounting, and h-ASPL evaluation must go through the
+one batched BFS kernel (tiny metric errors flip optimality conclusions).
+This module checks those conventions with a pure-stdlib AST pass.
 
 Rules
 -----
@@ -21,8 +21,8 @@ REP002
     returns it without calling ``validate()``.
 REP003
     Shortest-path / APSP routines invoked inside a Python loop, or twice
-    on the same graph in straight-line code, where a single batched
-    :mod:`scipy.sparse.csgraph` pass would do.
+    on the same graph in straight-line code, where one batched pass
+    (``switch_distance_matrix`` / ``KERNEL.bfs_distances``) would do.
 REP004
     Float ``==`` / ``!=`` comparisons involving h-ASPL, latency, or
     diameter metric values (including comparisons against ``inf``).
@@ -52,15 +52,6 @@ REP008
     the package's single write path — bypassing it breaks atomicity
     (temp-file + rename) and digest bookkeeping, which kill/resume
     correctness depends on.
-REP009
-    Unsafe mutate-measure-restore loops in :mod:`repro.analysis`: a loop
-    body that both removes graph state (``remove_switch_edge`` /
-    ``remove_edge`` / ``remove_switch`` / ``fail_link`` / ``fail_switch``)
-    and restores it (``add_switch_edge`` / ``add_edge`` / ``repair_link``
-    / ``repair_switch``) must run the restore in a ``finally`` block — a
-    raising measurement otherwise leaves the shared graph (or distance
-    matrix) corrupted for every later trial and for the caller.
-    Construction-only loops (adds without removals) are exempt.
 REP014
     Hand-rolled frontier BFS inside ``repro.core`` / ``repro.analysis``
     / ``repro.faults`` outside :mod:`repro.core.kernels`: a loop that
@@ -74,14 +65,14 @@ REP014
 
 Flow rules (REP010-REP013)
 --------------------------
-Four further rules run on the whole-program dataflow tier built by
+Four further rules run on the whole-program dataflow pass built by
 :mod:`repro.devtools.flow` (CFG + taint lattice + cross-module
 summaries); they are documented in that package and in DESIGN.md.
-REP010 generalizes REP001 (ambient entropy *transitively* reaching the
-deterministic packages) and REP012 generalizes REP009 (CFG-exact
-restore-safety on every exception path, not just loops in
-``repro.analysis``); the regex/AST originals stay on as the fast tier.
-``--no-flow`` skips the flow tier, ``--flow-only`` runs nothing else.
+Every run applies both passes.  REP001 owns RNG call sites everywhere;
+REP010 owns may-be-None seeds that reach ambient entropy *transitively*
+inside the deterministic packages.  REP012 checks restore safety on
+every exception path, in every package, including the bulk
+``remove_switch`` that any edge add on its receiver restores.
 
 Waivers
 -------
@@ -97,7 +88,8 @@ Usage
 -----
 ``repro-lint [PATHS...]`` (console script) or
 ``python -m repro.devtools.lint [PATHS...]``.  Exits 0 when clean, 1 when
-any diagnostic fires, 2 on usage errors.
+any diagnostic fires, 2 on usage errors (an unknown rule, a missing
+path, or two files that map to one dotted module name).
 """
 
 from __future__ import annotations
@@ -106,12 +98,13 @@ import argparse
 import ast
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
     "Diagnostic",
-    "Edit",
+    "DuplicateModuleError",
     "FLOW_RULES",
     "RULES",
     "lint_source",
@@ -125,7 +118,7 @@ RULES: dict[str, str] = {
     "REP001": "unseeded or global RNG use (inject a numpy.random.Generator)",
     "REP002": "HostSwitchGraph constructed and mutated but returned without validate()",
     "REP003": "shortest-path routine called in a loop / repeatedly where one batched "
-    "scipy.sparse.csgraph pass suffices",
+    "pass (switch_distance_matrix / KERNEL.bfs_distances) suffices",
     "REP004": "float ==/!= comparison on h-ASPL / latency / diameter metric values",
     "REP005": "private internals accessed across module boundaries",
     "REP006": "exact h-ASPL evaluated in a repro.core loop where "
@@ -134,23 +127,21 @@ RULES: dict[str, str] = {
     "bypasses repro.obs (use clock(), spans/timers, or registry events)",
     "REP008": "direct file write in repro.campaign outside store.py bypasses the "
     "content-addressed store (the package's single atomic write path)",
-    "REP009": "mutate-measure-restore loop in repro.analysis restores graph state "
-    "outside a try/finally (a raising measurement corrupts later trials)",
     "REP010": "ambient OS entropy (default_rng()/SeedSequence()/random.* or a "
     "may-be-None seed) transitively reaches a deterministic-package entry point "
-    "(flow tier; generalizes REP001)",
+    "(flow rule)",
     "REP011": "cross-process fan-out hazard: unpicklable capture into "
     "ProcessPoolExecutor.submit/map, or results folded in nondeterministic "
-    "completion order (flow tier)",
+    "completion order (flow rule)",
     "REP012": "graph mutation may escape on an exception path before its paired "
-    "restore runs (CFG-exact; generalizes REP009, flow tier)",
+    "restore runs (CFG-exact, flow rule)",
     "REP013": "telemetry instrument name is not a literal from the "
-    "repro.obs.names.INSTRUMENTS registry (flow tier; keeps repro.obs/v1 closed)",
+    "repro.obs.names.INSTRUMENTS registry (flow rule; keeps repro.obs/v1 closed)",
     "REP014": "hand-rolled frontier-BFS loop outside repro.core.kernels "
     "(route through repro.core.kernels.KERNEL.bfs_distances, the one batched kernel)",
 }
 
-#: Rules produced by the whole-program flow tier (repro.devtools.flow).
+#: Rules produced by the whole-program flow rules (repro.devtools.flow).
 FLOW_RULES = frozenset({"REP010", "REP011", "REP012", "REP013"})
 
 # The one repro.campaign module allowed to write artifact files (REP008).
@@ -234,16 +225,6 @@ _STOCHASTIC_FUNCS = frozenset(
 )
 _SEED_KEYWORDS = frozenset({"seed", "rng"})
 
-# Mutate-measure-restore loop calls (REP009): removal-type calls take
-# graph/matrix state down for a trial; restore-type calls bring it back and
-# must therefore run in a ``finally`` block.
-_REP009_REMOVERS = frozenset(
-    {"remove_switch_edge", "remove_edge", "remove_switch", "fail_link", "fail_switch"}
-)
-_REP009_RESTORERS = frozenset(
-    {"add_switch_edge", "add_edge", "repair_link", "repair_switch"}
-)
-
 # Packages whose BFS must go through repro.core.kernels (REP014); the
 # kernel package itself is the one place allowed to roll its own.
 _KERNEL_CLIENT_PACKAGES = ("repro.core", "repro.analysis", "repro.faults")
@@ -276,31 +257,14 @@ _WAIVER_RE = re.compile(
 
 
 @dataclass(frozen=True)
-class Edit:
-    """One source edit: replace ``[start, end)`` (1-based line, 0-based
-    col) with ``text``.  ``start == end`` is a pure insertion."""
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    text: str
-
-
-@dataclass(frozen=True)
 class Diagnostic:
-    """One lint finding, renderable as ``path:line:col: CODE message``.
-
-    ``fix`` carries the mechanical autofix (applied by ``--fix``) when
-    the rule knows one; it is empty for report-only findings.
-    """
+    """One lint finding, renderable as ``path:line:col: CODE message``."""
 
     path: str
     line: int
     col: int
     code: str
     message: str
-    fix: tuple[Edit, ...] = ()
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
@@ -348,17 +312,6 @@ def _is_float_inf(node: ast.expr) -> bool:
     return False
 
 
-def _is_float_pos_inf(node: ast.expr) -> bool:
-    """Positive infinity only — the case ``math.isinf`` can replace 1:1
-    for values known non-negative; ``float("-inf")`` is excluded because
-    ``isinf`` is sign-blind."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        if node.func.id == "float" and len(node.args) == 1:
-            arg = node.args[0]
-            return isinstance(arg, ast.Constant) and arg.value == "inf"
-    return _dotted(node) is not None and _is_float_inf(node)
-
-
 def _terminal_name(node: ast.expr) -> str | None:
     """``x`` for a Name, ``attr`` for any attribute chain terminal."""
     if isinstance(node, ast.Name):
@@ -368,14 +321,12 @@ def _terminal_name(node: ast.expr) -> str | None:
     return None
 
 
-def _scope_walk(node: ast.AST, *, skip_nested_defs: bool = True):
-    """``ast.walk`` that optionally does not descend into nested def/class."""
+def _scope_walk(node: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` that does not descend into nested def/class."""
     stack: list[ast.AST] = list(ast.iter_child_nodes(node))
     while stack:
         child = stack.pop()
-        if skip_nested_defs and isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         yield child
         stack.extend(ast.iter_child_nodes(child))
@@ -398,14 +349,19 @@ def _annotation_class(node: ast.expr | None) -> str | None:
 
 
 def _module_name_for(path: Path) -> str:
-    """Dotted module name for a file, anchored at the ``repro`` package."""
-    parts = list(path.resolve().parts)
+    """Dotted module name for a file, anchored at the ``repro`` package.
+
+    A file outside any ``repro`` directory is named by its resolved path
+    (``/abs/tests/__init__``), so two such files never share a name.
+    """
+    resolved = path.resolve()
+    parts = list(resolved.parts)
     name = path.stem
     if "repro" in parts:
         idx = len(parts) - 1 - parts[::-1].index("repro")
         mods = list(parts[idx:-1]) + ([] if name == "__init__" else [name])
         return ".".join(mods)
-    return name
+    return resolved.with_suffix("").as_posix()
 
 
 # --------------------------------------------------------------------- #
@@ -418,7 +374,6 @@ class _FileContext:
 
     def __init__(self, tree: ast.AST, source: str, path: str) -> None:
         self.path = path
-        self.source = source
         self.module = _module_name_for(Path(path))
         self.package = self.module.rsplit(".", 1)[0] if "." in self.module else ""
         self.random_aliases: set[str] = set()
@@ -431,27 +386,14 @@ class _FileContext:
         self.repro_imports: dict[str, str] = {}
         self.line_waivers: dict[int, set[str]] = {}
         self.file_waivers: set[str] = set()
-        self.math_imported = False
-        #: line at which an ``import math`` can be inserted by an autofix.
-        self.import_insert_line = 1
         self._collect_imports(tree)
         self._collect_waivers(source)
 
     def _collect_imports(self, tree: ast.AST) -> None:
-        if isinstance(tree, ast.Module):
-            for top in tree.body:
-                if isinstance(top, (ast.Import, ast.ImportFrom)):
-                    end = getattr(top, "end_lineno", None) or top.lineno
-                    self.import_insert_line = max(self.import_insert_line, end + 1)
-                elif isinstance(top, ast.Expr) and isinstance(top.value, ast.Constant):
-                    end = getattr(top, "end_lineno", None) or top.lineno
-                    self.import_insert_line = max(self.import_insert_line, end + 1)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "math":
-                        self.math_imported = True
                     if alias.name == "random":
                         self.random_aliases.add(bound)
                     elif alias.name in ("numpy", "numpy.random"):
@@ -514,7 +456,6 @@ class _Analyzer(ast.NodeVisitor):
         self.ctx = ctx
         self.diags: list[Diagnostic] = []
         self._loop_depth = 0
-        self._rep009_reported: set[int] = set()
         # Line spans of loops already reported by REP014: nested loops in
         # one BFS (while wavefront: for neighbor: ...) fire only once.
         self._rep014_spans: list[tuple[int, int]] = []
@@ -525,18 +466,12 @@ class _Analyzer(ast.NodeVisitor):
 
     # -- reporting ------------------------------------------------------ #
 
-    def _report(
-        self,
-        code: str,
-        node: ast.AST,
-        message: str,
-        fix: tuple[Edit, ...] = (),
-    ) -> None:
+    def _report(self, code: str, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 1)
         end = getattr(node, "end_lineno", None) or line
         col = getattr(node, "col_offset", 0)
         if not self.ctx.waived_span(code, line, end):
-            self.diags.append(Diagnostic(self.ctx.path, line, col, code, message, fix))
+            self.diags.append(Diagnostic(self.ctx.path, line, col, code, message))
 
     # -- scope plumbing ------------------------------------------------- #
 
@@ -579,51 +514,12 @@ class _Analyzer(ast.NodeVisitor):
     def _loop_visit(self, node: ast.AST) -> None:
         self._loop_depth += 1
         if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            self._check_rep009(node)
             self._check_rep014(node)
         self.generic_visit(node)
         self._loop_depth -= 1
 
     visit_For = visit_AsyncFor = visit_While = _loop_visit
     visit_ListComp = visit_SetComp = visit_DictComp = visit_GeneratorExp = _loop_visit
-
-    # -- REP009 (mutate-measure-restore loops in repro.analysis) ---------- #
-
-    def _check_rep009(self, loop: ast.For | ast.AsyncFor | ast.While) -> None:
-        if not self.ctx.module.startswith("repro.analysis"):
-            return
-        removals: list[ast.Call] = []
-        restores: list[ast.Call] = []
-        safe_restores: set[int] = set()
-        for child in _scope_walk(loop):
-            if isinstance(child, ast.Try) and child.finalbody:
-                for stmt in child.finalbody:
-                    for sub in ast.walk(stmt):
-                        if isinstance(sub, ast.Call):
-                            safe_restores.add(id(sub))
-            elif isinstance(child, ast.Call):
-                tail = _call_tail(child)
-                if tail in _REP009_REMOVERS:
-                    removals.append(child)
-                elif tail in _REP009_RESTORERS:
-                    restores.append(child)
-        # Construction-only loops (adds with no removals) and pure teardown
-        # loops (removals with no restore) are not trial loops.
-        if not removals or not restores:
-            return
-        if all(id(call) in safe_restores for call in restores):
-            return
-        anchor = removals[0]
-        if id(anchor) in self._rep009_reported:
-            return
-        self._rep009_reported.add(id(anchor))
-        self._report(
-            "REP009",
-            anchor,
-            "loop removes graph state and restores it outside a try/finally; "
-            "a raising measurement between the two corrupts the shared graph "
-            "for every later trial (move the restore into a finally block)",
-        )
 
     # -- REP014 (hand-rolled frontier BFS outside repro.core.kernels) ----- #
 
@@ -752,7 +648,8 @@ class _Analyzer(ast.NodeVisitor):
                 "REP003",
                 node,
                 f"shortest-path routine '{tail}' called inside a loop; hoist it or "
-                "use one batched scipy.sparse.csgraph pass over all sources",
+                "use one batched pass over all sources (switch_distance_matrix / "
+                "KERNEL.bfs_distances)",
             )
 
     # -- REP007 (telemetry bypass in instrumented packages) --------------- #
@@ -886,19 +783,12 @@ class _Analyzer(ast.NodeVisitor):
 
         for name, ret in returns:
             if name in constructed and name in mutated and name not in validated:
-                indent = " " * ret.col_offset
                 self._report(
                     "REP002",
                     ret,
                     f"'{name}' is a HostSwitchGraph mutated in '{fn.name}' but "
                     "returned without a validate() call (add one or waive with "
                     "'# repro-lint: disable=REP002 -- <reason>')",
-                    fix=(
-                        Edit(
-                            ret.lineno, 0, ret.lineno, 0,
-                            f"{indent}{name}.validate()\n",
-                        ),
-                    ),
                 )
 
     # -- REP003 straight-line duplicates --------------------------------- #
@@ -980,7 +870,6 @@ class _Analyzer(ast.NodeVisitor):
                     node,
                     "equality comparison against inf on a float value; use "
                     "math.isinf()/numpy.isinf() instead",
-                    fix=self._rep004_fix(node, op, left, right),
                 )
             elif metric:
                 self._report(
@@ -991,47 +880,6 @@ class _Analyzer(ast.NodeVisitor):
                     "comparison",
                 )
         self.generic_visit(node)
-
-    def _rep004_fix(
-        self,
-        node: ast.Compare,
-        op: ast.cmpop,
-        left: ast.expr,
-        right: ast.expr,
-    ) -> tuple[Edit, ...]:
-        """Rewrite ``x == <inf>`` to ``math.isinf(x)`` (``!=`` negated).
-
-        Only single comparisons against *positive* infinity are rewritten
-        (``isinf`` is sign-blind, so ``float("-inf")`` must stay manual);
-        chained comparisons are report-only.
-        """
-        if len(node.ops) != 1:
-            return ()
-        if _is_float_pos_inf(right) and not _is_float_inf(left):
-            value = left
-        elif _is_float_pos_inf(left) and not _is_float_inf(right):
-            value = right
-        else:
-            return ()
-        segment = ast.get_source_segment(self.ctx.source, value)
-        end_lineno = getattr(node, "end_lineno", None)
-        end_col = getattr(node, "end_col_offset", None)
-        if segment is None or end_lineno is None or end_col is None:
-            return ()
-        prefix = "not " if isinstance(op, ast.NotEq) else ""
-        fix = (
-            Edit(
-                node.lineno,
-                node.col_offset,
-                end_lineno,
-                end_col,
-                f"{prefix}math.isinf({segment})",
-            ),
-        )
-        if not self.ctx.math_imported:
-            insert = self.ctx.import_insert_line
-            fix += (Edit(insert, 0, insert, 0, "import math\n"),)
-        return fix
 
     # -- REP005 ----------------------------------------------------------- #
 
@@ -1134,50 +982,60 @@ def lint_file(path: str | Path) -> list[Diagnostic]:
     return lint_source(p.read_text(encoding="utf-8"), str(p))
 
 
+class DuplicateModuleError(ValueError):
+    """Two linted files map to one dotted module name.
+
+    The flow rules key their whole-program index by module name, so one
+    file would silently shadow the other (a fixture tree's
+    ``repro/obs/names.py`` would replace the real instrument registry).
+    """
+
+
 def _iter_python_files(paths: list[str]) -> list[Path]:
-    files: list[Path] = []
+    """Every ``.py`` file under ``paths``, at most one per module name."""
+    by_module: dict[str, Path] = {}
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(
+            found = [
                 f
                 for f in sorted(p.rglob("*.py"))
                 if not any(part.startswith(".") for part in f.parts)
-            )
+            ]
         elif not p.exists():
             raise FileNotFoundError(f"no such file or directory: {raw}")
-        elif p.suffix == ".py":
-            files.append(p)
-    return files
+        else:
+            found = [p] if p.suffix == ".py" else []
+        for f in found:
+            module = _module_name_for(f)
+            first = by_module.setdefault(module, f)
+            if first.resolve() != f.resolve():
+                raise DuplicateModuleError(
+                    f"{first} and {f} both map to module '{module}'; "
+                    "lint them in separate runs"
+                )
+    return list(by_module.values())
 
 
-def lint_paths(
-    paths: list[str],
-    *,
-    flow: bool = True,
-    flow_only: bool = False,
-    select: set[str] | None = None,
-) -> list[Diagnostic]:
+def lint_paths(paths: list[str], *, select: set[str] | None = None) -> list[Diagnostic]:
     """Lint every ``.py`` file under the given files/directories.
 
-    Runs the fast per-file tier (REP001-REP009) unless ``flow_only``,
-    and the whole-program flow tier (REP010-REP013) unless ``flow`` is
-    False.  Diagnostics come back globally ordered by
-    ``(path, line, col, code)`` so output is stable across tiers.
+    Applies the per-file rules and the whole-program flow rules
+    (REP010-REP013) in one run; ``select`` restricts both.  Diagnostics
+    come back globally ordered by ``(path, line, col, code)``.  Raises
+    :class:`DuplicateModuleError` when two files map to one module name.
     """
     files = _iter_python_files(paths)
     diags: list[Diagnostic] = []
-    if not flow_only:
-        for f in files:
-            diags.extend(lint_file(f))
-    if flow or flow_only:
-        # Function-level import: flow imports Diagnostic from this module.
-        from repro.devtools.flow.rules import flow_lint
+    for f in files:
+        diags.extend(lint_file(f))
+    # Function-level import: flow imports Diagnostic from this module.
+    from repro.devtools.flow.rules import flow_lint
 
-        flow_select = select & FLOW_RULES if select is not None else None
-        if flow_select is None or flow_select:
-            flow_diags, _stats = flow_lint(files, select=flow_select)
-            diags.extend(flow_diags)
+    flow_select = select & FLOW_RULES if select is not None else None
+    if flow_select is None or flow_select:
+        flow_diags, _stats = flow_lint(files, select=flow_select)
+        diags.extend(flow_diags)
     if select is not None:
         diags = [d for d in diags if d.code in select]
     return sorted(diags, key=Diagnostic.sort_key)
@@ -1198,52 +1056,12 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="comma-separated rule codes to enable (default: all)",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--output", default=None, help="write the report to this file instead of stdout"
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file: findings recorded there are suppressed",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings into --baseline and exit 0",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply available autofixes in place (iterated to a fixed point)",
-    )
-    parser.add_argument(
-        "--no-flow",
-        action="store_true",
-        help="skip the whole-program flow tier (REP010-REP013)",
-    )
-    parser.add_argument(
-        "--flow-only",
-        action="store_true",
-        help="run only the whole-program flow tier",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
         for code, summary in sorted(RULES.items()):
             print(f"{code}  {summary}")
         return 0
-    if args.no_flow and args.flow_only:
-        print("repro-lint: --no-flow and --flow-only are exclusive", file=sys.stderr)
-        return 2
-    if args.write_baseline and not args.baseline:
-        print("repro-lint: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
 
     selected = (
         {c.strip() for c in args.select.split(",") if c.strip()}
@@ -1260,43 +1078,19 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
 
-    paths = args.paths or ["src"]
-    flow = not args.no_flow
-
-    if args.fix:
-        from repro.devtools.fixes import apply_fixes
-
-        applied, changed = apply_fixes(
-            paths, flow=flow, flow_only=args.flow_only, select=selected
-        )
-        # Always reported, even at zero: CI's idempotency self-check greps
-        # for "applied 0 fix(es)" on the second pass.
-        print(f"repro-lint: applied {applied} fix(es) in {len(changed)} file(s)")
-
     try:
-        diags = lint_paths(
-            paths, flow=flow, flow_only=args.flow_only, select=selected
-        )
-    except (FileNotFoundError, OSError) as exc:
+        diags = lint_paths(args.paths or ["src"], select=selected)
+    except (OSError, DuplicateModuleError) as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
 
-    from repro.devtools import report
-
-    if args.baseline and args.write_baseline:
-        report.write_baseline(Path(args.baseline), diags)
-        print(f"repro-lint: wrote baseline ({len(diags)} finding(s)) to {args.baseline}")
-        return 0
-    suppressed = 0
-    if args.baseline:
-        baseline = report.load_baseline(Path(args.baseline))
-        diags, suppressed = report.apply_baseline(diags, baseline)
-
-    rendered = report.render(diags, args.format, suppressed=suppressed)
-    if args.output:
-        Path(args.output).write_text(rendered, encoding="utf-8")
-    else:
-        sys.stdout.write(rendered)
+    for diag in diags:
+        print(diag.render())
+    if diags:
+        print(
+            f"repro-lint: {len(diags)} violation(s) in "
+            f"{len({d.path for d in diags})} file(s)"
+        )
     return 1 if diags else 0
 
 

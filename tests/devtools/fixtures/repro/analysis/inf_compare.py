@@ -1,6 +1,6 @@
 """REP004 fixture: equality comparison against float("inf").
 
-Autofixed to ``math.isinf`` (plus the ``import math`` insertion).
+The fix is ``math.isinf(dist)``: ``==`` against infinity is fragile.
 """
 
 

@@ -1,9 +1,9 @@
-"""REP012 seeded fixture that REP009 provably misses.
+"""REP012 seeded fixture: a restore gap with no loop around it.
 
-REP009 (the fast tier) only looks at mutate/measure/restore *loops*;
-this straight-line probe mutates, calls out, and restores with no loop
-at all, yet ``measure(graph)`` can raise and escape before
-``add_edge`` runs — exactly the CFG-exact gap REP012 closes.
+Restore safety is not about loops: this straight-line probe mutates,
+calls out, and restores with no loop at all, yet ``measure(graph)`` can
+raise and escape before ``add_edge`` runs.  REP012's CFG sees that; the
+``try/finally``-protected twin below stays quiet.
 """
 
 

@@ -1,7 +1,7 @@
 """REP010 fixture: None-defaulted seeds reaching ambient entropy.
 
-Both defaults below are autofixable (None -> 0); after ``--fix`` the
-module lints clean, which CI's idempotency self-check relies on.
+Both defaults below fire; defaulting each seed to an integer (None ->
+0) makes the module lint clean.
 """
 
 import numpy as np

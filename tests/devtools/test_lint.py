@@ -1,18 +1,33 @@
-"""Fixture-snippet tests for the ``repro-lint`` rules (REP001–REP014, fast tier).
+"""Fixture-snippet tests for the per-file ``repro-lint`` rules and its CLI.
 
 Each rule gets at least one firing and one non-firing snippet; waivers and
 the console entry point are exercised at the end.  Snippets are linted as
 strings under fake ``src/repro/...`` paths so the package-sensitive rules
-(REP005) see realistic module locations.
+(REP005) see realistic module locations.  The trial-loop snippets of the
+deleted REP009 are written to a tmp ``repro/analysis`` tree and linted
+through :func:`lint_paths`, where the flow rule REP012 covers them.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import lint_source, main
+from repro.devtools.lint import (
+    Diagnostic,
+    DuplicateModuleError,
+    lint_paths,
+    lint_source,
+    main,
+)
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 LIB_PATH = "src/repro/analysis/fake_module.py"
 CORE_PATH = "src/repro/core/fake_module.py"
@@ -553,9 +568,10 @@ def test_main_list_rules(capsys):
     out = capsys.readouterr().out
     for code in (
         "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007",
-        "REP008", "REP009", "REP014",
+        "REP008", "REP010", "REP011", "REP012", "REP013", "REP014",
     ):
         assert code in out
+    assert "REP009" not in out
 
 
 def test_main_select_filters_rules(tmp_path):
@@ -565,20 +581,110 @@ def test_main_select_filters_rules(tmp_path):
     assert main(["--select", "REP001", str(dirty)]) == 1
 
 
+def test_main_flag_validation(tmp_path, capsys):
+    dirty = tmp_path / "dirty.py"
+    dirty.write_text("import random\n\ndef f():\n    return random.random()\n")
+    assert main(["--select", "REP999", str(dirty)]) == 2
+    assert "REP999" in capsys.readouterr().err
+
+
 def test_shipped_tree_is_clean():
     # The acceptance bar: the repository's own src tree lints clean.
-    from pathlib import Path
+    assert main([str(SRC)]) == 0
 
-    src = Path(__file__).resolve().parents[2] / "src"
-    assert main([str(src)]) == 0
+
+def test_fixture_tree_findings_are_pinned():
+    # Every seeded fixture finding, exactly: (path, line, col, code).
+    found = [
+        (Path(d.path).relative_to(FIXTURES).as_posix(), d.line, d.col, d.code)
+        for d in lint_paths([str(FIXTURES)])
+    ]
+    assert found == [
+        ("repro/analysis/inf_compare.py", 8, 11, "REP004"),
+        ("repro/analysis/restore_gap.py", 12, 4, "REP012"),
+        ("repro/campaign/fanout.py", 9, 31, "REP011"),
+        ("repro/campaign/fanout.py", 11, 12, "REP011"),
+        ("repro/core/frontier_bfs.py", 20, 4, "REP014"),
+        ("repro/core/frontier_bfs.py", 36, 4, "REP014"),
+        ("repro/core/seed_threading.py", 11, 11, "REP010"),
+        ("repro/core/seed_threading.py", 15, 10, "REP010"),
+        ("repro/simulation/telemetry_names.py", 5, 4, "REP013"),
+        ("repro/simulation/telemetry_names.py", 6, 4, "REP013"),
+    ]
+
+
+def test_duplicate_module_names_are_a_usage_error(tmp_path, capsys):
+    # Both files are repro.obs.names; the flow index is keyed by module
+    # name, so one registry would silently replace the other.
+    first = tmp_path / "a" / "repro" / "obs" / "names.py"
+    second = tmp_path / "b" / "repro" / "obs" / "names.py"
+    for path in (first, second):
+        path.parent.mkdir(parents=True)
+        path.write_text('INSTRUMENTS = frozenset({"sim.cycles"})\n')
+    capsys.readouterr()
+    assert main([str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+    captured = capsys.readouterr()
+    assert str(first) in captured.err and str(second) in captured.err
+    assert captured.out == ""
+    with pytest.raises(DuplicateModuleError):
+        lint_paths([str(tmp_path)])
+    # The same file named twice is one file, not a collision.
+    assert main([str(first), str(first)]) == 0
+
+
+def test_files_outside_repro_never_collide(tmp_path, capsys):
+    # Outside a ``repro`` directory a file is named by its path, so trees
+    # like tests/ or benchmarks/ (several __init__.py, two util.py) lint.
+    dirty = "import random\n\ndef f():\n    return random.random()\n"
+    files = {
+        "pkg/__init__.py": "",
+        "pkg/sub/__init__.py": "",
+        "a/util.py": dirty,
+        "b/util.py": dirty,
+    }
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    capsys.readouterr()
+    assert main([str(tmp_path / "pkg")]) == 0
+    assert main([str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert str(tmp_path / "a" / "util.py") in captured.out
+    assert str(tmp_path / "b" / "util.py") in captured.out
+    assert [d.code for d in lint_paths([str(tmp_path)])] == ["REP001", "REP001"]
+
+
+def test_module_entry_point_raises_no_runtime_warning(tmp_path):
+    clean = tmp_path / "clean.py"
+    clean.write_text("def f(x):\n    return x + 1\n")
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.devtools.lint",
+         str(clean)],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 # --------------------------------------------------------------------- #
-# REP009 — mutate-measure-restore loops without try/finally
+# Mutate-measure-restore trial loops (REP012 took over from REP009)
 # --------------------------------------------------------------------- #
 
 
-def test_rep009_fires_on_unprotected_restore():
+def trial_diags(tmp_path: Path, source: str, name: str = "trial") -> list[Diagnostic]:
+    path = tmp_path / "repro" / "analysis" / f"{name}.py"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(textwrap.dedent(source), encoding="utf-8")
+    return lint_paths([str(path)])
+
+
+def test_rep009_fires_on_unprotected_restore(tmp_path):
     src = """
         def sweep(graph, edges, measure):
             out = []
@@ -588,10 +694,12 @@ def test_rep009_fires_on_unprotected_restore():
                 graph.add_switch_edge(a, b)
             return out
     """
-    assert "REP009" in codes(src)
+    (diag,) = trial_diags(tmp_path, src)
+    assert diag.code == "REP012"
+    assert "'add_switch_edge'" in diag.message
 
 
-def test_rep009_fires_on_ddm_style_loop():
+def test_rep009_fires_on_ddm_style_loop(tmp_path):
     src = """
         def sweep(ddm, edges, measure):
             out = []
@@ -601,10 +709,12 @@ def test_rep009_fires_on_ddm_style_loop():
                 ddm.add_edge(a, b)
             return out
     """
-    assert "REP009" in codes(src)
+    (diag,) = trial_diags(tmp_path, src)
+    assert diag.code == "REP012"
+    assert "'add_edge'" in diag.message
 
 
-def test_rep009_clean_with_finally_restore():
+def test_rep009_clean_with_finally_restore(tmp_path):
     src = """
         def sweep(graph, edges, measure):
             out = []
@@ -616,10 +726,10 @@ def test_rep009_clean_with_finally_restore():
                     graph.add_switch_edge(a, b)
             return out
     """
-    assert "REP009" not in codes(src)
+    assert trial_diags(tmp_path, src) == []
 
 
-def test_rep009_clean_for_construction_only_loop():
+def test_rep009_clean_for_construction_only_loop(tmp_path):
     # Loops that only add (or only remove) edges are building/tearing down
     # a graph, not doing a mutate-measure-restore cycle.
     src = """
@@ -627,28 +737,16 @@ def test_rep009_clean_for_construction_only_loop():
             for a, b in edges:
                 graph.add_switch_edge(a, b)
     """
-    assert "REP009" not in codes(src)
+    assert trial_diags(tmp_path, src, "build") == []
     src = """
         def teardown(graph, edges):
             for a, b in edges:
                 graph.remove_switch_edge(a, b)
     """
-    assert "REP009" not in codes(src)
+    assert trial_diags(tmp_path, src, "teardown") == []
 
 
-def test_rep009_only_applies_to_analysis_modules():
-    src = """
-        def sweep(graph, edges, measure):
-            for a, b in edges:
-                graph.remove_switch_edge(a, b)
-                measure(graph)
-                graph.add_switch_edge(a, b)
-    """
-    assert "REP009" not in codes(src, path=CORE_PATH)
-    assert "REP009" not in codes(src, path="src/repro/simulation/fake.py")
-
-
-def test_rep009_fires_on_routing_fault_api():
+def test_rep009_fires_on_routing_fault_api(tmp_path):
     src = """
         def sweep(tables, events, measure):
             for event in events:
@@ -656,18 +754,90 @@ def test_rep009_fires_on_routing_fault_api():
                 measure(tables)
                 tables.repair_link(0, 1)
     """
-    assert "REP009" in codes(src)
+    (diag,) = trial_diags(tmp_path, src)
+    assert diag.code == "REP012"
+    assert "'repair_link'" in diag.message
 
 
-def test_rep009_waiver():
+# The switch trial loops of repro.analysis.resilience, without and with
+# their try/finally: ``remove_switch`` returns the edges it took down and
+# ``add_edge`` puts them back one by one, with arguments of its own.
+SWITCH_FAILURE_IMPACT = """
+    def impact(graph, ddm, rng, counts, n, trials, measure):
+        values = []
+        for _ in range(trials):
+            victim = int(rng.integers(0, graph.num_switches))
+            removed = ddm.remove_switch(victim)
+            {try_}
+                survivors_n = int(n - counts[victim])
+                if survivors_n < 2:
+                    continue
+                values.append(measure(ddm.dist, survivors_n))
+            {finally_}
+                for a, b in removed:
+                    ddm.add_edge(a, b)
+        return values
+"""
+FAILURE_SWEEP = """
+    def sweep(ddm, targets, rng, counts, trials, failures, measure):
+        out = []
+        for trial in range(trials):
+            picked = [targets[int(i)] for i in rng.choice(len(targets), size=failures)]
+            removed = []
+            {try_}
+                for s in picked:
+                    removed.extend(ddm.remove_switch(s))
+                k = counts.copy()
+                k[picked] = 0.0
+                out.append(measure(ddm, k))
+            {finally_}
+                for a, b in removed:
+                    ddm.add_edge(a, b)
+        return out
+"""
+
+
+def switch_trial(template: str, protected: bool) -> str:
+    # Unprotected, the try/finally lines become always-true ifs, so the
+    # body keeps its indentation and runs straight into the restore.
+    if protected:
+        return template.format(try_="try:", finally_="finally:")
+    return template.format(try_="if True:", finally_="if True:")
+
+
+@pytest.mark.parametrize(
+    "template", [SWITCH_FAILURE_IMPACT, FAILURE_SWEEP],
+    ids=["switch_failure_impact", "failure_sweep"],
+)
+def test_rep012_fires_on_unprotected_switch_trial_loop(tmp_path, template):
+    (diag,) = trial_diags(tmp_path, switch_trial(template, protected=False))
+    assert diag.code == "REP012"
+    assert "'ddm.remove_switch(...)'" in diag.message
+    assert "'add_edge'" in diag.message
+
+
+@pytest.mark.parametrize(
+    "template", [SWITCH_FAILURE_IMPACT, FAILURE_SWEEP],
+    ids=["switch_failure_impact", "failure_sweep"],
+)
+def test_rep012_quiet_on_switch_trial_loop_restored_in_finally(tmp_path, template):
+    assert trial_diags(tmp_path, switch_trial(template, protected=True)) == []
+
+
+def test_rep012_bulk_restore_matches_the_receiver_only(tmp_path):
+    # An edge add on another matrix does not restore this one's switch.
     src = """
-        def sweep(graph, edges, measure):
-            for a, b in edges:
-                graph.remove_switch_edge(a, b)  # repro-lint: disable=REP009 -- measure cannot raise
-                measure(graph)
-                graph.add_switch_edge(a, b)
+        def probe(ddm, other, s, measure):
+            removed = ddm.remove_switch(s)
+            measure(ddm)
+            for a, b in removed:
+                other.add_edge(a, b)
     """
-    assert "REP009" not in codes(src)
+    assert trial_diags(tmp_path, src) == []
+    src = src.replace("other.add_edge", "ddm.add_switch_edge")
+    (diag,) = trial_diags(tmp_path, src, "probe_same")
+    assert diag.code == "REP012"
+    assert "'add_switch_edge'" in diag.message
 
 
 # --------------------------------------------------------------------- #
@@ -726,10 +896,8 @@ def test_waiver_inside_multiline_statement_does_not_leak_past_it():
 
 
 def test_diagnostics_sorted_by_path_line_code(tmp_path):
-    from repro.devtools.lint import lint_paths
-
     # Three dirty files named to defeat any directory-order luck, each
-    # with findings from both tiers at assorted lines.
+    # with per-file and flow findings at assorted lines.
     for name in ("zz.py", "aa.py", "mm.py"):
         (tmp_path / name).write_text(
             "import random\n\n"
@@ -744,82 +912,6 @@ def test_diagnostics_sorted_by_path_line_code(tmp_path):
     assert [d.path for d in diags] == sorted(
         [d.path for d in diags]
     ), "files must be ordered by path regardless of discovery order"
-
-
-# --------------------------------------------------------------------- #
-# Formats, baseline, and both CLI spellings
-# --------------------------------------------------------------------- #
-
-
-def _dirty_file(tmp_path):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\n\ndef f():\n    return random.random()\n")
-    return dirty
-
-
-def test_main_json_format(tmp_path, capsys):
-    import json
-
-    dirty = _dirty_file(tmp_path)
-    assert main(["--format", "json", str(dirty)]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["violations"] == 1
-    assert payload["diagnostics"][0]["code"] == "REP001"
-
-
-def test_main_sarif_format_to_file(tmp_path, capsys):
-    import json
-
-    dirty = _dirty_file(tmp_path)
-    out = tmp_path / "report.sarif"
-    assert main(["--format", "sarif", "--output", str(out), str(dirty)]) == 1
-    sarif = json.loads(out.read_text())
-    assert sarif["version"] == "2.1.0"
-    assert sarif["runs"][0]["results"][0]["ruleId"] == "REP001"
-    assert capsys.readouterr().out == ""  # report went to the file
-
-
-def test_main_baseline_workflow(tmp_path, capsys):
-    dirty = _dirty_file(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    # Record the current findings, then the same tree gates clean.
-    assert main(["--baseline", str(baseline), "--write-baseline", str(dirty)]) == 0
-    capsys.readouterr()
-    assert main(["--baseline", str(baseline), str(dirty)]) == 0
-    assert "suppressed by baseline" in capsys.readouterr().out
-    # A new finding in the same file still fails the gate.
-    dirty.write_text(dirty.read_text() + "\ndef g():\n    return random.random()\n")
-    assert main(["--baseline", str(baseline), str(dirty)]) == 1
-
-
-def test_main_flag_validation(tmp_path, capsys):
-    dirty = _dirty_file(tmp_path)
-    assert main(["--no-flow", "--flow-only", str(dirty)]) == 2
-    assert main(["--write-baseline", str(dirty)]) == 2
-    assert main(["--select", "REP999", str(dirty)]) == 2
-    capsys.readouterr()
-
-
-def test_main_fix_reports_zero_on_clean_tree(tmp_path, capsys):
-    clean = tmp_path / "clean.py"
-    clean.write_text("def f(x):\n    return x + 1\n")
-    assert main(["--fix", str(clean)]) == 0
-    assert "applied 0 fix(es)" in capsys.readouterr().out
-
-
-def test_repro_lint_subcommand_matches_console_script(tmp_path, capsys):
-    from repro.cli import main as repro_main
-
-    dirty = _dirty_file(tmp_path)
-    # `repro lint ...` and the `repro-lint` console script are the same
-    # driver: identical exit codes and identical output.
-    assert repro_main(["lint", str(dirty)]) == 1
-    via_subcommand = capsys.readouterr().out
-    assert main([str(dirty)]) == 1
-    assert capsys.readouterr().out == via_subcommand
-    clean = tmp_path / "clean.py"
-    clean.write_text("def f(x):\n    return x + 1\n")
-    assert repro_main(["lint", str(clean)]) == 0
 
 
 # --------------------------------------------------------------------- #

@@ -1,127 +1,41 @@
-"""Tests for the renderers (text / json / sarif) and the lint baseline."""
+"""Tests for the text report ``repro-lint`` prints."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from repro.devtools.lint import main
 
-import pytest
-
-from repro.devtools.lint import Diagnostic
-from repro.devtools.report import (
-    apply_baseline,
-    baseline_counts,
-    load_baseline,
-    render,
-    render_json,
-    render_sarif,
-    render_text,
-    write_baseline,
-)
-
-D1 = Diagnostic("src/repro/a.py", 3, 0, "REP001", "unseeded randomness")
-D2 = Diagnostic("src/repro/a.py", 9, 4, "REP010", "ambient entropy")
-D3 = Diagnostic("src/repro/b.py", 1, 0, "REP001", "unseeded randomness")
+SOURCE = """\
+import random
 
 
-# --------------------------------------------------------------------- #
-# Renderers
-# --------------------------------------------------------------------- #
+def f():
+    return random.random()
 
 
-def test_render_text_summary_and_suppression_note():
-    out = render_text([D1, D2], suppressed=3)
-    assert "src/repro/a.py:3:0: REP001" in out
-    assert "2 violation(s) in 1 file(s)" in out
-    assert "3 finding(s) suppressed by baseline" in out
-    assert render_text([]) == ""
+def g(xs):
+    return random.choice(xs)
 
 
-def test_render_json_structure():
-    payload = json.loads(render_json([D1, D3], suppressed=1))
-    assert payload["summary"] == {"violations": 2, "files": 2, "suppressed": 1}
-    first = payload["diagnostics"][0]
-    assert first == {
-        "path": "src/repro/a.py",
-        "line": 3,
-        "col": 0,
-        "code": "REP001",
-        "message": "unseeded randomness",
-        "fixable": False,
-    }
+def h(xs):
+    return random.choice(xs)  # repro-lint: disable=REP001 -- demo only
+"""
 
 
-def test_render_sarif_schema_shape():
-    sarif = json.loads(render_sarif([D1, D2, D3]))
-    assert sarif["version"] == "2.1.0"
-    (run,) = sarif["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro-lint"
-    assert [r["id"] for r in driver["rules"]] == ["REP001", "REP010"]
-    assert len(run["results"]) == 3
-    result = run["results"][0]
-    assert result["ruleId"] == "REP001"
-    region = result["locations"][0]["physicalLocation"]["region"]
-    assert region == {"startLine": 3, "startColumn": 1}  # col is 1-based
+def test_render_text_summary_and_suppression_note(tmp_path, capsys):
+    mod = tmp_path / "mod.py"
+    mod.write_text(SOURCE)
+    clean = tmp_path / "clean.py"
+    clean.write_text("def f(x):\n    return x + 1\n")
 
+    assert main([str(mod)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # One path:line:col: CODE line per finding, then the summary.  The
+    # waived finding is neither printed nor counted, and no note about
+    # suppressed findings is added.
+    assert [line.split(" ")[0] for line in lines[:-1]] == [f"{mod}:5:11:", f"{mod}:9:11:"]
+    assert all(" REP001 " in line for line in lines[:-1])
+    assert lines[-1] == "repro-lint: 2 violation(s) in 1 file(s)"
+    assert not any("suppressed" in line for line in lines)
 
-def test_render_dispatch_and_unknown_format():
-    assert render([D1], "text") == render_text([D1])
-    assert render([D1], "json") == render_json([D1])
-    assert render([D1], "sarif") == render_sarif([D1])
-    with pytest.raises(ValueError):
-        render([D1], "xml")
-
-
-# --------------------------------------------------------------------- #
-# Baseline
-# --------------------------------------------------------------------- #
-
-
-def test_baseline_counts_key_by_path_and_code():
-    counts = baseline_counts([D1, D2, D3, D1])
-    assert counts == {
-        "src/repro/a.py::REP001": 2,
-        "src/repro/a.py::REP010": 1,
-        "src/repro/b.py::REP001": 1,
-    }
-
-
-def test_baseline_roundtrip(tmp_path):
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [D1, D2])
-    data = json.loads(path.read_text())
-    assert data["version"] == 1
-    assert load_baseline(path) == {
-        "src/repro/a.py::REP001": 1,
-        "src/repro/a.py::REP010": 1,
-    }
-
-
-def test_load_baseline_missing_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == {}
-
-
-def test_apply_baseline_suppresses_only_recorded_counts():
-    baseline = {"src/repro/a.py::REP001": 1}
-    kept, suppressed = apply_baseline([D1, D2, D3], baseline)
-    assert suppressed == 1
-    # The baselined (path, rule) pair is consumed once; a *new* REP001 in
-    # another file and the REP010 finding still fail the build.
-    assert [d.path for d in kept] == ["src/repro/a.py", "src/repro/b.py"]
-    assert [d.code for d in kept] == ["REP010", "REP001"]
-
-
-def test_apply_baseline_is_line_drift_tolerant():
-    moved = Diagnostic("src/repro/a.py", 777, 0, "REP001", "same rule, new line")
-    kept, suppressed = apply_baseline([moved], {"src/repro/a.py::REP001": 1})
-    assert suppressed == 1 and kept == []
-
-
-def test_committed_baseline_matches_shipped_tree():
-    # The repository ships an (empty) baseline: src must lint clean with
-    # no suppressions needed.  A finding sneaking in fails this test
-    # before it fails CI.
-    root = Path(__file__).resolve().parents[2]
-    baseline = load_baseline(root / "lint-baseline.json")
-    assert baseline == {}
+    assert main([str(clean)]) == 0
+    assert capsys.readouterr().out == ""
