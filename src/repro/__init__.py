@@ -33,7 +33,6 @@ from repro.core import (
     h_aspl,
     h_aspl_and_diameter,
     h_aspl_lower_bound,
-    h_aspl_sampled,
     lacin_h_aspl_baseline,
     lacin_max_hosts,
     lacin_switch_count,
@@ -67,7 +66,6 @@ __all__ = [
     "h_aspl",
     "h_aspl_and_diameter",
     "h_aspl_lower_bound",
-    "h_aspl_sampled",
     "lacin_h_aspl_baseline",
     "lacin_max_hosts",
     "lacin_switch_count",

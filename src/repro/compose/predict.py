@@ -16,9 +16,11 @@ because every ordered cross-copy pair pays exactly one extra hop
 ``C (C - 1)``).  The h-ASPL then follows from the same correction the
 measured path applies (``(0.5 W - n) / (n (n - 1) / 2)``).
 
-**Bit-identity.**  :func:`predict_h_aspl` replicates the exact float64
-operations of :func:`repro.core.metrics.h_aspl_from_distances` on the same
-integer-valued quantities; every intermediate is an exact integer below
+**Bit-identity.**  :func:`summarize_block` and :func:`predict_h_aspl`
+call the measured path's own helpers,
+:func:`repro.core.metrics.weighted_host_distance_sum` and
+:func:`repro.core.metrics.h_aspl_from_weighted_sum`, on the same
+integer-valued quantities.  Every intermediate is an exact integer below
 ``2^53`` for any realistic fabric (``W < 2^53`` holds up to ``n`` around
 ``10^7`` at host diameter ~6), so prediction equals kernel measurement
 bit for bit — the property suite asserts ``==``, not ``approx``.
@@ -31,7 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.hostswitch import HostSwitchGraph
-from repro.core.metrics import switch_distance_matrix
+from repro.core.metrics import (
+    h_aspl_from_weighted_sum,
+    switch_distance_matrix,
+    weighted_host_distance_sum,
+)
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -72,16 +78,12 @@ def summarize_block(block: HostSwitchGraph) -> BlockSummary:
     dist = dist[:, bearing]
     if np.isinf(dist).any():
         raise ValueError("block switch graph is disconnected")
-    k = counts[bearing].astype(np.float64)
-    # Same float64 contraction as metrics._weighted_host_distance_sum: all
-    # terms are integers, so the result is exact and order-independent.
-    weighted = float(k @ (dist + 2.0) @ k)
+    weighted = weighted_host_distance_sum(dist, counts[bearing].astype(np.float64))
     if not weighted.is_integer():
         raise ValueError(
             f"block weighted distance sum {weighted!r} is not an exact "
             "integer; the block is too large for float64-exact prediction"
         )
-    aspl = float((0.5 * weighted - n) / (n * (n - 1) / 2.0))
     return BlockSummary(
         num_hosts=n,
         num_switches=block.num_switches,
@@ -91,7 +93,7 @@ def summarize_block(block: HostSwitchGraph) -> BlockSummary:
         ),
         weighted_sum=int(weighted),
         bearing_diameter=int(dist.max()),
-        h_aspl=aspl,
+        h_aspl=h_aspl_from_weighted_sum(weighted, n),
     )
 
 
@@ -107,9 +109,9 @@ def predict_weighted_sum(summary: BlockSummary, copies: int) -> int:
 def predict_h_aspl(summary: BlockSummary, copies: int) -> float:
     """h-ASPL of the composed fabric, bit-identical to measurement.
 
-    Replicates :func:`repro.core.metrics.h_aspl_from_distances` float64
-    operations on the closed-form weighted sum; see the module docstring
-    for why the two agree exactly rather than approximately.
+    Applies :func:`repro.core.metrics.h_aspl_from_weighted_sum` to the
+    closed-form weighted sum; see the module docstring for why the two
+    agree exactly rather than approximately.
     """
     weighted = predict_weighted_sum(summary, copies)
     n = copies * summary.num_hosts
@@ -118,7 +120,7 @@ def predict_h_aspl(summary: BlockSummary, copies: int) -> float:
             f"weighted sum {weighted} exceeds float64 integer range; "
             "prediction would no longer be exact"
         )
-    return float((0.5 * float(weighted) - n) / (n * (n - 1) / 2.0))
+    return h_aspl_from_weighted_sum(float(weighted), n)
 
 
 def predict_host_diameter(summary: BlockSummary, copies: int) -> float:

@@ -22,7 +22,6 @@ from repro.core.metrics import (
     diameter,
     h_aspl,
     h_aspl_and_diameter,
-    h_aspl_sampled,
     host_distance_matrix,
     switch_aspl,
     switch_distance_matrix,
@@ -61,7 +60,6 @@ __all__ = [
     "diameter",
     "h_aspl",
     "h_aspl_and_diameter",
-    "h_aspl_sampled",
     "host_distance_matrix",
     "switch_aspl",
     "switch_distance_matrix",

@@ -10,19 +10,16 @@ Three neighbourhood operations are available:
   that together with the first amounts to a swap.  Subsumes both primitives.
 
 The annealer maintains a switch-edge list for O(1) proposal sampling and
-scores candidates with the delta-repairing
+scores every candidate by its exact h-ASPL with the delta-repairing
 :class:`repro.core.incremental.IncrementalEvaluator` (propose / commit /
-rollback around each move); ``eval_sources`` switches to the sampled
-estimator for very large instances.  Moves that disconnect any pair of
-hosts evaluate to ``inf`` and are always rejected.  A finite h-ASPL says
-nothing about hostless switches, so every accepted move also passes a
-whole-switch-graph connectivity check, preserving the paper's "no
-redundant switch is stranded" assumption.  Between ``propose`` and
+rollback around each move), its only scorer.  Moves that disconnect any
+pair of hosts evaluate to ``inf`` and are always rejected.  A finite
+h-ASPL says nothing about hostless switches, so every accepted move also
+passes a whole-switch-graph connectivity check, preserving the paper's
+"no redundant switch is stranded" assumption.  Between ``propose`` and
 ``commit`` the evaluator's matrix is the candidate's exact all-switch
 APSP, so the check is one row read
-(:meth:`~repro.core.incremental.DynamicDistanceMatrix.is_connected`); the
-sampled path has no matrix and walks the graph, only while the candidate
-has hostless switches.
+(:meth:`~repro.core.incremental.DynamicDistanceMatrix.is_connected`).
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.incremental import IncrementalEvaluator
-from repro.core.metrics import h_aspl_and_diameter, h_aspl_sampled
+from repro.core.metrics import h_aspl_and_diameter
 from repro.core.operations import SwapMove, SwingMove, propose_swap, propose_swing
 from repro.core.serialization import graph_from_text, graph_to_text
 from repro.obs import NULL_TELEMETRY, TelemetryRegistry
@@ -150,15 +147,13 @@ class _EdgeList:
             self.edges[idx] = last
             self._pos[last] = idx
 
-    def apply_swap(self, move: SwapMove) -> None:
-        self.remove(move.a, move.b)
-        self.remove(move.c, move.d)
-        self.add(move.a, move.d)
-        self.add(move.b, move.c)
-
-    def apply_swing(self, move: SwingMove) -> None:
-        self.remove(move.sa, move.sb)
-        self.add(move.sa, move.sc)
+    def apply(self, move: SwapMove | SwingMove) -> None:
+        """Replay a committed move's switch-edge changes, removals first."""
+        removed, added = move.edge_changes()
+        for a, b in removed:
+            self.remove(a, b)
+        for a, b in added:
+            self.add(a, b)
 
     def restore_order(self, order: list[tuple[int, int]]) -> None:
         """Adopt a saved edge ordering (checkpoint resume).
@@ -195,8 +190,6 @@ def anneal(
     seed: int | np.random.Generator | None = 0,
     history_every: int = 0,
     target: float | None = None,
-    eval_sources: int | None = None,
-    eval_refresh: int = 200,
     telemetry: TelemetryRegistry | None = None,
     checkpoint_every: int = 0,
     checkpoint_callback: Callable[[dict[str, Any]], None] | None = None,
@@ -222,15 +215,6 @@ def anneal(
     target:
         Optional early-stop threshold: stop once the best h-ASPL is within
         ``1e-12`` of it (e.g. the Theorem-2 lower bound).
-    eval_sources:
-        Scalability knob: when set, proposals are scored with the sampled
-        estimator :func:`repro.core.metrics.h_aspl_sampled` using this
-        many BFS sources (resampled every ``eval_refresh`` accepted steps,
-        proportional to host counts) instead of the exact h-ASPL.  The
-        returned result is always evaluated exactly.  Recommended for
-        ``n`` in the many-thousands range.
-    eval_refresh:
-        Steps between source resamples in sampled mode.
     telemetry:
         Optional :class:`repro.obs.TelemetryRegistry` receiving per-phase
         acceptance/temperature/throughput events, the committed move-type
@@ -255,8 +239,7 @@ def anneal(
         bit-identical to an uninterrupted run: the RNG stream, graph
         state, and proposal-sampling edge order are all restored exactly.
         ``graph`` is ignored when resuming (the checkpoint carries the
-        working graph); the sampled estimator (``eval_sources``) does not
-        support checkpointing.
+        working graph).
 
     Returns
     -------
@@ -266,12 +249,8 @@ def anneal(
     """
     if operation not in _OPERATIONS:
         raise ValueError(f"operation must be one of {_OPERATIONS}, got {operation!r}")
-    if eval_sources is not None and eval_sources < 1:
-        raise ValueError(f"eval_sources must be >= 1, got {eval_sources}")
     if checkpoint_every < 0:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
-    if eval_sources is not None and (checkpoint_every or resume_state is not None):
-        raise ValueError("checkpoint/resume is not supported with eval_sources")
     if schedule is None:
         schedule = AnnealingSchedule()
     rng = as_generator(seed)
@@ -294,49 +273,8 @@ def anneal(
         work = graph.copy()
         edges = _EdgeList(work)
 
-    sample: np.ndarray | None = None
-
-    def resample() -> None:
-        nonlocal sample
-        counts = work.host_counts().astype(np.float64)
-        bearing = np.flatnonzero(counts > 0)
-        k = min(eval_sources, len(bearing))  # type: ignore[arg-type]
-        probs = counts[bearing] / counts[bearing].sum()
-        sample = rng.choice(bearing, size=k, replace=False, p=probs)
-
-    def evaluate() -> float:
-        assert sample is not None
-        counts = work.host_counts()
-        live = sample[counts[sample] > 0]
-        if len(live) == 0:
-            resample()
-            live = sample
-        return h_aspl_sampled(work, live)
-
-    # Both scoring modes behind one propose/commit/discard protocol: the
-    # incremental evaluator keeps real scratch state, the sampled path
-    # re-evaluates from the (already mutated) working graph.
-    inc: IncrementalEvaluator | None = None
-    if eval_sources is None:
-        inc = IncrementalEvaluator(work, telemetry=tel)
-        current = inc.value
-    else:
-        resample()
-        current = evaluate()
-
-    def propose_value(moves: list) -> float:
-        if inc is not None:
-            return inc.propose(moves)
-        return evaluate()
-
-    def commit_pending() -> None:
-        if inc is not None:
-            inc.commit()
-
-    def discard_pending() -> None:
-        if inc is not None:
-            inc.rollback()
-
+    evaluator = IncrementalEvaluator(work, telemetry=tel)
+    current = evaluator.value
     if not math.isfinite(current):
         raise ValueError("initial graph has disconnected hosts (h-ASPL is inf)")
     if resume_state is not None:
@@ -412,15 +350,6 @@ def anneal(
         phase_start_step = step_after
         phase_t0 = now_t
 
-    def connectivity_ok() -> bool:
-        # Runs between propose and commit/rollback, where the evaluator
-        # holds the candidate's exact all-switch APSP.  The sampled path
-        # has none: finite h-ASPL certifies host-bearing connectivity, so
-        # only a candidate with hostless switches needs the graph walk.
-        if inc is not None:
-            return inc.is_connected()
-        return work.host_counts().all() or work.is_switch_graph_connected()
-
     def capture_checkpoint(step_after: int) -> dict[str, Any]:
         return {
             "format": ANNEAL_CHECKPOINT_FORMAT,
@@ -444,43 +373,24 @@ def anneal(
     steps_done = start_step
     for step in range(start_step, schedule.num_steps):
         steps_done = step + 1
-        if eval_sources is not None and step > 0 and step % eval_refresh == 0:
-            # Fresh estimator sample; re-anchor the current value so deltas
-            # stay comparable within the window.
-            resample()
-            current = evaluate()
         temperature = schedule.temperature(step)
-        committed = False
-        value_after = current
-        move_kind = "swap" if operation == "swap" else "swing"
 
-        if operation == "swap":
-            move = propose_swap(edges.edges, rng, work)
-            if move is not None:
-                committed, value_after = _try_moves(
-                    work, rng, current, temperature, connectivity_ok,
-                    propose_value, commit_pending, discard_pending,
-                    [move], [move],
-                )
-                if committed:
-                    edges.apply_swap(move)
-
-        elif operation == "swing":
-            move = propose_swing(edges.edges, rng, work)
-            if move is not None:
-                committed, value_after = _try_moves(
-                    work, rng, current, temperature, connectivity_ok,
-                    propose_value, commit_pending, discard_pending,
-                    [move], [move],
-                )
-                if committed:
-                    edges.apply_swing(move)
-
-        else:  # two-neighbor-swing (Fig. 4)
+        if operation == "two-neighbor-swing":  # Fig. 4
             committed, value_after, move_kind = _two_neighbor_step(
-                work, edges, rng, current, temperature, connectivity_ok,
-                propose_value, commit_pending, discard_pending,
+                work, edges, rng, current, temperature, evaluator
             )
+        else:
+            committed, value_after, move_kind = False, current, operation
+            # Looked up in the module at call time, so wrappers installed on
+            # its propose_swap/propose_swing attributes see every call.
+            propose = propose_swap if operation == "swap" else propose_swing
+            move = propose(edges.edges, rng, work)
+            if move is not None:
+                committed, value_after = _try_moves(
+                    work, rng, current, temperature, evaluator, [move], [move]
+                )
+                if committed:
+                    edges.apply(move)
 
         if committed:
             accepted += 1
@@ -521,15 +431,13 @@ def anneal(
             if count:
                 tel.counter(_MOVE_COUNTERS[kind]).inc(count)
         tel.timer("anneal.wall_s").observe(wall)
-        if inc is not None:
-            stats = inc.stats
-            tel.counter("evaluator.proposals").inc(stats["proposals"])
-            tel.counter("evaluator.fallbacks").inc(stats["fallbacks"])
-            tel.counter("evaluator.repaired_rows").inc(stats["repaired_rows"])
+        stats = evaluator.stats
+        tel.counter("evaluator.proposals").inc(stats["proposals"])
+        tel.counter("evaluator.fallbacks").inc(stats["fallbacks"])
+        tel.counter("evaluator.repaired_rows").inc(stats["repaired_rows"])
         tel.event(
             "anneal.done",
             operation=operation,
-            evaluator="incremental" if inc is not None else "sampled",
             steps=steps_done,
             accepted=accepted,
             improved=improved,
@@ -595,12 +503,9 @@ def _try_moves(
     rng: np.random.Generator,
     current: float,
     temperature: float,
-    connectivity_ok,
-    propose_value,
-    commit_pending,
-    discard_pending,
-    new_moves,
-    all_moves,
+    evaluator: IncrementalEvaluator,
+    new_moves: list[SwapMove | SwingMove],
+    all_moves: list[SwapMove | SwingMove],
     *,
     keep_on_reject: bool = False,
 ) -> tuple[bool, float]:
@@ -621,16 +526,16 @@ def _try_moves(
     for move in new_moves:
         move.apply(work)
     try:
-        value = propose_value(all_moves)
-        take = _accept(value - current, temperature, rng) and connectivity_ok()
+        value = evaluator.propose(all_moves)
+        take = _accept(value - current, temperature, rng) and evaluator.is_connected()
     except BaseException:
         for move in reversed(new_moves):
             move.undo(work)
         raise
     if take:
-        commit_pending()
+        evaluator.commit()
         return True, value
-    discard_pending()
+    evaluator.rollback()
     if not keep_on_reject:
         for move in reversed(new_moves):
             move.undo(work)
@@ -643,10 +548,7 @@ def _two_neighbor_step(
     rng: np.random.Generator,
     current: float,
     temperature: float,
-    connectivity_ok,
-    propose_value,
-    commit_pending,
-    discard_pending,
+    evaluator: IncrementalEvaluator,
 ) -> tuple[bool, float, str]:
     """One proposal of the 2-neighbor swing operation (Fig. 4).
 
@@ -657,9 +559,10 @@ def _two_neighbor_step(
     attempted instead so searches over graphs with hostless switches (the
     Fig. 8 regime) do not stall.
 
-    Proposals are scored through ``propose_value(moves)`` where ``moves``
-    is always relative to the last *committed* state — the step-3 retry
-    discards the step-1 proposal and proposes both swings as one batch.
+    Proposals are scored through ``evaluator.propose(moves)`` where
+    ``moves`` is always relative to the last *committed* state — the
+    step-3 retry rolls back the step-1 proposal and proposes both swings
+    as one batch.
 
     Returns ``(committed, new_value, move_kind)`` where ``move_kind`` names
     the committed (or last attempted) primitive: ``"swing"`` for step 1,
@@ -689,22 +592,19 @@ def _two_neighbor_step(
             swap = SwapMove(sa, sb, sd, sc)
             if swap.is_legal(work):
                 committed, value = _try_moves(
-                    work, rng, current, temperature, connectivity_ok,
-                    propose_value, commit_pending, discard_pending,
-                    [swap], [swap],
+                    work, rng, current, temperature, evaluator, [swap], [swap]
                 )
                 if committed:
-                    edges.apply_swap(swap)
+                    edges.apply(swap)
                     return True, value, "swap"
         return False, current, "swap"
 
     committed, value1 = _try_moves(
-        work, rng, current, temperature, connectivity_ok,
-        propose_value, commit_pending, discard_pending,
-        [first], [first], keep_on_reject=True,
+        work, rng, current, temperature, evaluator, [first], [first],
+        keep_on_reject=True,
     )
     if committed:
-        edges.apply_swing(first)
+        edges.apply(first)
         return True, value1, "swing"
 
     second = SwingMove(sd, sc, sb)
@@ -713,17 +613,15 @@ def _two_neighbor_step(
         return False, current, "swing"
     try:
         committed, value2 = _try_moves(
-            work, rng, current, temperature, connectivity_ok,
-            propose_value, commit_pending, discard_pending,
-            [second], [first, second],
+            work, rng, current, temperature, evaluator, [second], [first, second]
         )
     except BaseException:
         # _try_moves unwound `second`; `first` (kept from step 1) is ours.
         first.undo(work)
         raise
     if committed:
-        edges.apply_swing(first)
-        edges.apply_swing(second)
+        edges.apply(first)
+        edges.apply(second)
         return True, value2, "swing2"
     first.undo(work)
     return False, current, "swing2"

@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 import numpy as np
-from scipy import sparse
 
 from repro.utils.contracts import graph_invariant
 from repro.utils.validation import check_nonnegative_int, check_positive_int
@@ -80,6 +79,8 @@ class HostSwitchGraph:
         self._host_switch: list[int] = []
         self._hosts_per_switch: list[int] = [0] * num_switches
         self._num_switch_edges = 0
+        self._csr_version = 0
+        self._csr_cache: tuple[int, np.ndarray, np.ndarray] | None = None
         self._hosts_by_switch: list[set[int]] | None = None
 
     # ------------------------------------------------------------------ #
@@ -249,15 +250,14 @@ class HostSwitchGraph:
 
     def _bump_topology_version(self) -> None:
         """Invalidate the cached CSR export (switch topology changed)."""
-        self._csr_version = getattr(self, "_csr_version", 0) + 1
+        self._csr_version += 1
 
     def switch_csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The switch adjacency as raw CSR ``(indptr, indices)`` int32 arrays.
 
         Rows are sorted ascending — the layout the BFS kernel of
-        :mod:`repro.core.kernels` consumes.  Cheaper than
-        :meth:`switch_csr` (no scipy matrix wrapper) and vectorised: the
-        per-row sort happens in one ``lexsort`` over the flat edge list.
+        :mod:`repro.core.kernels` consumes.  Vectorised: the per-row sort
+        happens in one ``lexsort`` over the flat edge list.
 
         The export is cached against a topology version bumped by
         :meth:`add_switch_edge`/:meth:`remove_switch_edge`, so repeated
@@ -265,8 +265,8 @@ class HostSwitchGraph:
         the returned arrays as read-only (they are shared with the
         cache).
         """
-        version = getattr(self, "_csr_version", 0)
-        cached = getattr(self, "_csr_cache", None)
+        version = self._csr_version
+        cached = self._csr_cache
         if cached is not None and cached[0] == version:
             return cached[1], cached[2]
         m = self.num_switches
@@ -284,21 +284,6 @@ class HostSwitchGraph:
         indices = flat[order]
         self._csr_cache = (version, indptr, indices)
         return indptr, indices
-
-    def switch_csr(self) -> sparse.csr_matrix:
-        """The switch-switch adjacency as a scipy CSR boolean matrix."""
-        m = self.num_switches
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        for s, nbrs in enumerate(self._adj):
-            indptr[s + 1] = indptr[s] + len(nbrs)
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        pos = 0
-        for nbrs in self._adj:
-            for b in sorted(nbrs):
-                indices[pos] = b
-                pos += 1
-        data = np.ones(len(indices), dtype=np.int8)
-        return sparse.csr_matrix((data, indices, indptr), shape=(m, m))
 
     def to_networkx(self):
         """Export as a :class:`networkx.Graph` with ``kind`` node attributes.
@@ -328,8 +313,8 @@ class HostSwitchGraph:
         dup._num_switch_edges = self._num_switch_edges
         # The CSR export cache is immutable-by-convention; sharing it with
         # the copy is safe and saves a rebuild on the first metric call.
-        dup._csr_version = getattr(self, "_csr_version", 0)
-        dup._csr_cache = getattr(self, "_csr_cache", None)
+        dup._csr_version = self._csr_version
+        dup._csr_cache = self._csr_cache
         # The host index is not carried: most copies (best-graph snapshots)
         # never swing, and one that does rebuilds it on first use.
         dup._hosts_by_switch = None

@@ -9,8 +9,8 @@ running every BFS through the one bit-parallel kernel of
 
 One engine does the repair: :class:`DynamicDistanceMatrix` applies edge
 removals and insertions to ``D`` in place.  :class:`IncrementalEvaluator`
-is that engine plus an undo journal and the running weighted sum the
-annealer scores.
+is that engine plus an undo journal and the running weighted sum, and it
+is the annealer's only scorer.
 
 Repair algorithm
 ----------------
@@ -55,7 +55,7 @@ step only writes its own block — and reinstates the committed state.
 ``commit`` simply drops the journal.  The committed CSR adjacency is
 never mutated: a proposal's CSR accumulates single-edge deltas as cheap
 copies and is kept (or dropped) wholesale, so the CSR is only ever
-rebuilt from the graph at construction/rebuild.
+built from the graph at construction.
 
 The h-ASPL itself is maintained as the running weighted sum
 ``sum k_a k_b (d(a,b) + 2)``: each repair step contributes the
@@ -63,13 +63,16 @@ integer-exact float64 quadratic form ``k[A] @ (new - old) @ k[A]`` of
 its block delta (host-count deltas of swing moves are applied on top,
 term by term), so a proposal costs O(|A|^2) instead of O(m^2).  Any
 ``inf`` in sight (disconnection, or a previously disconnected committed
-state) falls back to the full double sum, which is bit-identical because
-every term of either computation is an integer exactly representable in
-float64.
+state) falls back to the full double sum,
+:func:`repro.core.metrics.weighted_host_distance_sum`, which is
+bit-identical because every term of either computation is an integer
+exactly representable in float64.  Either sum becomes the value through
+:func:`repro.core.metrics.h_aspl_from_weighted_sum`, the formula every
+h-ASPL in the package goes through.
 
 Fallback and invariants
 -----------------------
-When the affected-row count exceeds ``fallback_fraction * m`` the repair
+When the affected-row count exceeds ``_FALLBACK_FRACTION * m`` the repair
 would cost as much as a rebuild, so the evaluator recomputes all rows in
 one batched BFS instead (the *exact fallback* — same kernel, all
 sources).  Either way the evaluator maintains these invariants after every
@@ -78,9 +81,9 @@ sources).  Either way the evaluator maintains these invariants after every
 - ``D`` is the exact, symmetric switch-graph distance matrix (``inf`` for
   disconnected pairs) of the bound graph;
 - ``k`` equals the graph's per-switch host counts;
-- ``value``/``weighted_sum`` equal :func:`repro.core.metrics.h_aspl` on the
-  bound graph **bit-for-bit** (every term of the weighted sum is an integer
-  exactly representable in float64, so summation order cannot matter).
+- ``value`` equals :func:`repro.core.metrics.h_aspl` on the bound graph
+  **bit-for-bit** (every term of the weighted sum is an integer exactly
+  representable in float64, so summation order cannot matter).
 
 ``D`` covers *all* switches, not only host-bearing ones, so swing moves
 that empty or populate a switch never invalidate the matrix.  The test
@@ -97,7 +100,7 @@ import numpy as np
 
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.kernels import KERNEL, CSRAdjacency
-from repro.core.metrics import _weighted_host_distance_sum
+from repro.core.metrics import h_aspl_from_weighted_sum, weighted_host_distance_sum
 from repro.core.operations import SwapMove, SwingMove
 from repro.obs import NULL_TELEMETRY, Histogram, TelemetryRegistry
 from repro.obs import clock as obs_clock
@@ -112,6 +115,12 @@ Move = SwapMove | SwingMove
 _Edge = tuple[int, int]
 #: One journaled repair step: ``(rows, old block, new block, inserted)``.
 _Step = tuple[np.ndarray, np.ndarray, np.ndarray, bool]
+
+#: Repair-vs-rebuild threshold: when one proposal's removals affect more
+#: than this fraction of the ``m`` rows, every row is recomputed in one
+#: batched BFS instead.  Tests monkeypatch it to 0.0 (rebuild on every
+#: proposal) or 1.0 (always repair).
+_FALLBACK_FRACTION = 0.5
 
 #: Buckets for the repaired-rows-per-move histogram; repairs are usually a
 #: handful of rows, the top buckets catch near-fallback proposals.
@@ -220,10 +229,6 @@ class DynamicDistanceMatrix:
         if tel.enabled:
             self._bfs_timer = tel.timer(_KERNEL_BFS_TIMER)
             self._bfs_counter = tel.counter(_KERNEL_BFS_ROWS)
-        self._load(graph)
-
-    def _load(self, graph: HostSwitchGraph) -> None:
-        """(Re)build the CSR and the full matrix from ``graph``."""
         self._csr = CSRAdjacency.from_graph(graph)
         self._dist = self._bfs(np.arange(self._m))
 
@@ -365,11 +370,6 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
     graph:
         The bound (mutable) host-switch graph; the evaluator snapshots its
         structure and thereafter trusts the move deltas.
-    fallback_fraction:
-        Repair-vs-rebuild threshold: when one proposal's affected rows
-        exceed this fraction of ``m``, every row is recomputed in one
-        batched BFS instead.  ``0.0`` forces the full rebuild on every
-        proposal (useful for testing the fallback path).
     telemetry:
         Optional :class:`repro.obs.TelemetryRegistry`; when enabled, the
         evaluator feeds a repaired-rows-per-move histogram (and the engine
@@ -381,26 +381,22 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         self,
         graph: HostSwitchGraph,
         *,
-        fallback_fraction: float = 0.5,
         telemetry: TelemetryRegistry | None = None,
     ) -> None:
-        if not 0.0 <= fallback_fraction <= 1.0:
-            raise ValueError(
-                f"fallback_fraction must be in [0, 1], got {fallback_fraction}"
-            )
         if graph.num_hosts < 2:
             raise ValueError(
                 f"h-ASPL needs at least 2 hosts, graph has {graph.num_hosts}"
             )
         super().__init__(graph, telemetry=telemetry)
-        self._graph = graph
-        self._row_budget = int(fallback_fraction * self._m)
+        self._n = graph.num_hosts
+        self._row_budget = int(_FALLBACK_FRACTION * self._m)
         self._rows_hist: Histogram | None = None
         if telemetry is not None and telemetry.enabled:
             self._rows_hist = telemetry.histogram(
                 "evaluator.repaired_rows_per_move", _ROWS_BOUNDS
             )
-        self._score()
+        self._k = graph.host_counts().astype(np.float64)
+        self._value, self._weighted = self._evaluate(self._dist, self._k)
         #: While a proposal is pending: the committed ``(csr, dist, k, value,
         #: weighted)`` and the journal of repair steps ``(rows, old block,
         #: new block, inserted)``.
@@ -410,12 +406,6 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
             "fallbacks": 0,
             "repaired_rows": 0,
         }
-
-    def _score(self) -> None:
-        """Host counts and value from the bound graph and current matrix."""
-        self._k = self._graph.host_counts().astype(np.float64)
-        self._n = self._graph.num_hosts
-        self._value, self._weighted = self._evaluate(self._dist, self._k)
 
     def _edit(
         self,
@@ -441,15 +431,6 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         """h-ASPL of the current state (matches ``metrics.h_aspl``)."""
         return self._value
 
-    @property
-    def weighted_sum(self) -> float:
-        """The running weighted sum ``sum k_a k_b (d(a,b) + 2)`` (or inf)."""
-        return self._weighted
-
-    def _value_of(self, weighted: float) -> float:
-        n = self._n
-        return float((0.5 * weighted - n) / (n * (n - 1) / 2.0))
-
     def _evaluate(self, dist: np.ndarray, k: np.ndarray) -> tuple[float, float]:
         """``(h_aspl, weighted_sum)`` from a distance matrix and counts."""
         bearing = np.flatnonzero(k > 0)
@@ -460,8 +441,8 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
             sub = dist[np.ix_(bearing, bearing)]
         if np.isinf(sub).any():
             return float("inf"), float("inf")
-        weighted = _weighted_host_distance_sum(sub, kb)
-        return self._value_of(weighted), weighted
+        weighted = weighted_host_distance_sum(sub, kb)
+        return h_aspl_from_weighted_sum(weighted, self._n), weighted
 
     def _block_delta(
         self,
@@ -570,7 +551,7 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         if weighted is None:
             self._value, self._weighted = self._evaluate(self._dist, self._k)
         else:
-            self._value, self._weighted = self._value_of(weighted), weighted
+            self._value, self._weighted = h_aspl_from_weighted_sum(weighted, self._n), weighted
         return self._value
 
     def _repaired_sum(
@@ -641,9 +622,3 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
             )
         deltas = [(s, d) for s, d in host_delta.items() if d != 0]
         return removed_net, added_net, deltas
-
-    def rebuild(self) -> None:
-        """Resynchronise from the bound graph (full APSP; drops pending)."""
-        self._pending = None
-        self._load(self._graph)
-        self._score()

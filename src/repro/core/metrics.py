@@ -15,13 +15,14 @@ matrix and the per-switch host counts ``k``:
 
 We compute ``d`` with the bit-parallel BFS kernel of
 :mod:`repro.core.kernels` restricted to host-bearing switches, and
-evaluate the double sum with vectorised NumPy.  This used to be the hot
-path of the annealing search; the annealer now repairs a persistent
-distance matrix per move with
-:class:`repro.core.incremental.IncrementalEvaluator`.  Because every
-quantity in the weighted sum is an integer exactly representable in
-float64, that evaluator and this module produce bit-identical h-ASPL
-values (see :func:`_weighted_host_distance_sum`).
+evaluate the double sum with vectorised NumPy.  This module is the one
+home of that arithmetic: :func:`weighted_host_distance_sum` forms the
+double sum and :func:`h_aspl_from_weighted_sum` turns it into the
+average.  The annealer's
+:class:`repro.core.incremental.IncrementalEvaluator` and the composed-fabric
+predictor of :mod:`repro.compose.predict` call the same two functions.
+Every term of the weighted sum is an integer exactly representable in
+float64, so all of them produce bit-identical h-ASPL values.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.kernels import KERNEL, CSRAdjacency
-from repro.utils.contracts import ensures, requires
+from repro.utils.contracts import ensures
 
 __all__ = [
     "switch_distance_matrix",
@@ -43,7 +44,8 @@ __all__ = [
     "host_distance_matrix",
     "single_source_host_distances",
     "h_aspl_from_distances",
-    "h_aspl_sampled",
+    "weighted_host_distance_sum",
+    "h_aspl_from_weighted_sum",
     "DegradedMetrics",
     "degraded_metrics",
     "degraded_metrics_from_distances",
@@ -133,12 +135,7 @@ def h_aspl_and_diameter(graph: HostSwitchGraph) -> tuple[float, float]:
     dist, k, _ = _host_weighted_sums(graph)
     if np.isinf(dist).any():
         return float("inf"), float("inf")
-    # 0.5 * sum_{a,b} k_a k_b (d+2) counts same-switch "pairs" as k_a^2 at
-    # distance 2; subtracting n corrects them down to 2*C(k_a, 2).
-    weighted = k @ (dist + 2.0) @ k
-    total = 0.5 * weighted - n
-    pairs = n * (n - 1) / 2.0
-    aspl = float(total / pairs)
+    aspl = h_aspl_from_weighted_sum(weighted_host_distance_sum(dist, k), n)
 
     # Diameter: off-diagonal host pairs sit at d+2; same-switch pairs at 2.
     if len(k) == 1:
@@ -152,65 +149,35 @@ def h_aspl_and_diameter(graph: HostSwitchGraph) -> tuple[float, float]:
     return aspl, diam
 
 
-def _weighted_host_distance_sum(dist: np.ndarray, k: np.ndarray) -> float:
-    """``sum_{a,b} k_a k_b (d(a,b) + 2)`` — the h-ASPL numerator's core.
+def weighted_host_distance_sum(dist: np.ndarray, k: np.ndarray) -> float:
+    """``sum_{a,b} k_a k_b (d(a,b) + 2)`` over ordered switch pairs.
 
-    Shared by :func:`h_aspl_from_distances` and the incremental evaluator so
-    both compute the sum with the *same* floating-point operations: all
-    terms are integers, so the float64 result is exact and independent of
-    summation order, which is what makes the two evaluators bit-identical.
+    ``dist`` is a finite host-bearing distance matrix and ``k`` the float64
+    host counts of its rows.  Every term is an integer, so the float64
+    result is exact and independent of summation order.
     """
     return float(k @ (dist + 2.0) @ k)
+
+
+def h_aspl_from_weighted_sum(weighted: float, n: int) -> float:
+    """h-ASPL of ``n`` hosts from their :func:`weighted_host_distance_sum`.
+
+    Half the ordered sum counts each same-switch "pair" as ``k_a^2`` at
+    distance 2; subtracting ``n`` corrects them down to ``2 C(k_a, 2)``.
+    """
+    return float((0.5 * weighted - n) / (n * (n - 1) / 2.0))
 
 
 def h_aspl_from_distances(dist: np.ndarray, k: np.ndarray, n: int) -> float:
     """h-ASPL from a precomputed host-bearing distance matrix.
 
-    Exposed so callers that already hold ``dist`` (e.g. the incremental
-    evaluator's repaired matrix) can recompute the average without another
-    APSP.
+    Exposed so callers that already hold ``dist`` (the resilience trials'
+    repaired matrices) can recompute the average without another APSP.
     """
     if np.isinf(dist).any():
         return float("inf")
     k = np.asarray(k, dtype=np.float64)
-    weighted = _weighted_host_distance_sum(dist, k)
-    return float((0.5 * weighted - n) / (n * (n - 1) / 2.0))
-
-
-@requires(
-    lambda graph, sources: len(np.atleast_1d(sources)) > 0,
-    "need at least one sampled source switch",
-)
-def h_aspl_sampled(
-    graph: HostSwitchGraph,
-    sources: np.ndarray,
-) -> float:
-    """Estimate the h-ASPL from a subset of source switches.
-
-    ``sources`` must index host-bearing switches.  The estimator averages
-    host distances from the sampled sources' hosts to *all* hosts — an
-    unbiased estimate when sources are drawn with probability proportional
-    to their host counts, and a deterministic, cheap surrogate objective
-    for annealing at large ``n`` (see ``anneal(..., eval_sources=...)``).
-
-    Cost: ``len(sources)`` BFS passes instead of one per host-bearing
-    switch.  Returns ``inf`` if any sampled pair is disconnected.
-    """
-    counts = graph.host_counts().astype(np.float64)
-    sources = np.asarray(sources, dtype=np.int64)
-    if (counts[sources] == 0).any():
-        raise ValueError("sampled sources must carry at least one host")
-    dist = switch_distance_matrix(graph, sources=sources)
-    if np.isinf(dist).any():
-        return float("inf")
-    k_src = counts[sources]
-    # Mean distance from a sampled source host to every *other* host:
-    # sum_b k_b (d(s,b)+2) minus the self term (own distance 0 + 2 counted
-    # once for the host itself).
-    n = graph.num_hosts
-    weighted = (dist + 2.0) @ counts  # per-source sums over all hosts
-    per_source = (weighted - 2.0) / (n - 1)  # exclude the source host itself
-    return float(np.average(per_source, weights=k_src))
+    return h_aspl_from_weighted_sum(weighted_host_distance_sum(dist, k), n)
 
 
 @dataclass(frozen=True)
@@ -275,14 +242,11 @@ def degraded_metrics_from_distances(
         raise ValueError(f"degraded metrics need at least 2 hosts, got n={n}")
     k = np.asarray(k, dtype=np.float64)
     finite = np.isfinite(dist)
-    total_pairs = n * (n - 1) / 2.0
     if finite.all():
-        # Connected fast path: identical float ops to h_aspl_from_distances,
-        # hence bit-identical values (integer terms are exact in float64).
-        weighted = _weighted_host_distance_sum(dist, k)
-        aspl = float((0.5 * weighted - n) / total_pairs)
         return DegradedMetrics(
-            connected_h_aspl=aspl,
+            connected_h_aspl=h_aspl_from_weighted_sum(
+                weighted_host_distance_sum(dist, k), n
+            ),
             reachable_pair_fraction=1.0 if len(k) else 0.0,
             num_components=1 if len(k) else 0,
             component_hosts=(int(k.sum()),) if len(k) else (),
@@ -307,7 +271,7 @@ def degraded_metrics_from_distances(
     component_hosts = tuple(sorted((int(h) for h in hosts_per), reverse=True))
     return DegradedMetrics(
         connected_h_aspl=aspl,
-        reachable_pair_fraction=float(reachable_pairs / total_pairs),
+        reachable_pair_fraction=float(reachable_pairs / (n * (n - 1) / 2.0)),
         num_components=len(reps),
         component_hosts=component_hosts,
         num_hosts=n,

@@ -176,7 +176,6 @@ _DIST_FUNCS = frozenset(
         "diameter",
         "switch_aspl",
         "h_aspl_and_diameter",
-        "h_aspl_sampled",
         "switch_distance_matrix",
         "host_distance_matrix",
         "single_source_host_distances",
@@ -195,7 +194,7 @@ _METRIC_FUNCS = frozenset(
         "switch_aspl",
         "h_aspl_and_diameter",
         "h_aspl_from_distances",
-        "h_aspl_sampled",
+        "h_aspl_from_weighted_sum",
     }
 )
 _METRIC_NAME_HINTS = ("aspl", "latency")

@@ -141,11 +141,6 @@ class TestResumeValidation:
             anneal(start_graph, schedule=SCHEDULE, seed=SEED,
                    checkpoint_every=-1)
 
-    def test_sampled_evaluator_cannot_checkpoint(self, start_graph):
-        with pytest.raises(ValueError, match="eval_sources"):
-            anneal(start_graph, schedule=SCHEDULE, seed=SEED, eval_sources=4,
-                   checkpoint_every=100, checkpoint_callback=lambda s: None)
-
 
 POINT = normalize_point({"n": 24, "r": 6, "steps": 300, "restarts": 3})
 DIGEST = point_digest(POINT)

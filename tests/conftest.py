@@ -101,12 +101,13 @@ class CheckedEvaluator(IncrementalEvaluator):
     def __init__(self, graph: HostSwitchGraph, *, connected_commits: bool = True,
                  **kwargs) -> None:
         super().__init__(graph, **kwargs)
+        self.graph = graph
         self.connected_commits = connected_commits
         self.checks = 0
 
     def propose(self, moves) -> float:
         value = super().propose(moves)
-        graph = self._graph
+        graph = self.graph
         csr = CSRAdjacency.from_graph(graph)
         expected = REFERENCE_KERNEL.bfs_distances(csr, np.arange(graph.num_switches))
         assert np.array_equal(self.dist, expected), "repaired matrix != reference APSP"
@@ -121,7 +122,7 @@ class CheckedEvaluator(IncrementalEvaluator):
 
     def commit(self) -> None:
         if self.connected_commits:
-            assert self._graph.is_switch_graph_connected(), "committed a split switch graph"
+            assert self.graph.is_switch_graph_connected(), "committed a split switch graph"
         super().commit()
 
 

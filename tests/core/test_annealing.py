@@ -59,12 +59,12 @@ class TestEdgeList:
         el = _EdgeList(g)
         swap = SwapMove(0, 1, 2, 3)
         swap.apply(g)
-        el.apply_swap(swap)
+        el.apply(swap)
         assert sorted(el.edges) == sorted(tuple(sorted(e)) for e in g.switch_edges())
         swing = SwingMove(0, 3, 1)
         assert swing.is_legal(g)
         swing.apply(g)
-        el.apply_swing(swing)
+        el.apply(swing)
         assert sorted(el.edges) == sorted(tuple(sorted(e)) for e in g.switch_edges())
 
 
@@ -262,6 +262,7 @@ class TestConnectivityInvariant:
             ("two-neighbor-swing", 99, 1185, "5f14f65645f4eca4"),
             ("two-neighbor-swing", 217, 1256, "e81be1ded91af4a2"),
             ("swing", 299, 1867, "fea962b4ff96a1a2"),
+            ("swap", 99, 1430, "952b65eaee650936"),
         ],
     )
     def test_checked_runs_keep_pinned_trajectories(
@@ -300,7 +301,7 @@ def _count_graph_walks(monkeypatch) -> list[int]:
 
 
 class TestConnectivityCheckSource:
-    """Where each scoring path gets its per-accept connectivity answer."""
+    """Where the annealer gets its per-accept connectivity answer."""
 
     def test_incremental_path_reads_the_evaluator(self, monkeypatch):
         g = random_host_switch_graph(18, 20, 5, seed=6)
@@ -309,12 +310,3 @@ class TestConnectivityCheckSource:
         result = anneal(g, schedule=AnnealingSchedule(num_steps=400), seed=9)
         assert result.accepted > 0
         assert calls == [0]
-
-    def test_sampled_path_walks_the_graph(self, monkeypatch):
-        g = random_host_switch_graph(18, 20, 5, seed=6)
-        calls = _count_graph_walks(monkeypatch)
-        result = anneal(
-            g, schedule=AnnealingSchedule(num_steps=400), seed=9, eval_sources=6
-        )
-        assert result.accepted > 0
-        assert calls[0] > 0

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.construct import random_host_switch_graph
 from repro.core.hostswitch import HostSwitchGraph
+import repro.core.incremental as incremental
 from repro.core.incremental import (
     IncrementalEvaluator,
     IncrementalEvaluatorError,
@@ -108,11 +109,12 @@ class TestEquivalenceProperty:
         counters = _drive_random_moves(graph, evaluator, rng, moves=700)
         assert counters["disconnecting"] > 0
 
-    def test_forced_fallback_path_matches(self):
-        # fallback_fraction=0 rebuilds every proposal through the same
+    def test_forced_fallback_path_matches(self, monkeypatch):
+        # A zero fallback fraction rebuilds every proposal through the same
         # batched-BFS code the repair path uses: exercises the fallback.
+        monkeypatch.setattr(incremental, "_FALLBACK_FRACTION", 0.0)
         graph = random_host_switch_graph(48, 16, 5, seed=3).copy()
-        evaluator = IncrementalEvaluator(graph, fallback_fraction=0.0)
+        evaluator = IncrementalEvaluator(graph)
         rng = np.random.default_rng(103)
         counters = _drive_random_moves(graph, evaluator, rng, moves=200)
         assert counters["proposed"] > 0
@@ -217,22 +219,19 @@ class TestProtocol:
         with pytest.raises(IncrementalEvaluatorError, match="rollback"):
             evaluator.rollback()
 
-    def test_bad_fallback_fraction_rejected(self):
-        with pytest.raises(ValueError, match="fallback_fraction"):
-            IncrementalEvaluator(self._graph(), fallback_fraction=1.5)
-
     def test_too_few_hosts_rejected(self):
         graph = HostSwitchGraph.from_edges(2, 4, [(0, 1)], [0])
         with pytest.raises(ValueError, match="hosts"):
             IncrementalEvaluator(graph)
 
-    def test_failed_proposal_restores_committed_state(self):
+    def test_failed_proposal_restores_committed_state(self, monkeypatch):
         # A 6-ring: removing {0, 1} repairs rows in place (no fallback)
         # before the second removed edge {2, 4}, which does not exist,
         # raises mid-proposal.
+        monkeypatch.setattr(incremental, "_FALLBACK_FRACTION", 1.0)
         ring = [(s, (s + 1) % 6) for s in range(6)]
         graph = HostSwitchGraph.from_edges(6, 3, ring, list(range(6)))
-        evaluator = IncrementalEvaluator(graph, fallback_fraction=1.0)
+        evaluator = IncrementalEvaluator(graph)
         before, value = evaluator.dist.copy(), evaluator.value
         with pytest.raises(ValueError, match="no switch edge"):
             evaluator.propose(SwapMove(0, 1, 2, 4))
@@ -247,15 +246,6 @@ class TestProtocol:
         a, b = next(iter(graph.switch_edges()))
         with pytest.raises(IncrementalEvaluatorError, match="propose"):
             evaluator.remove_edge(a, b)
-
-    def test_rebuild_resynchronises(self):
-        graph = self._graph()
-        evaluator = IncrementalEvaluator(graph)
-        rng = np.random.default_rng(1)
-        move = self._legal_swap(graph, rng)
-        move.apply(graph)  # behind the evaluator's back
-        evaluator.rebuild()
-        _assert_matches_metrics(evaluator, graph)
 
     def test_stats_accumulate(self):
         graph = self._graph()

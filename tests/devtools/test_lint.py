@@ -196,11 +196,17 @@ def test_rep003_quiet_on_single_batched_call():
 
 
 def test_rep004_fires_on_metric_equality():
-    src = """
+    for src in (
+        """
         def is_clique_like(aspl):
             return aspl == 2.0
+        """,
         """
-    assert "REP004" in codes(src)
+        def is_clique_like(w, n):
+            return h_aspl_from_weighted_sum(w, n) == 2.0
+        """,
+    ):
+        assert "REP004" in codes(src)
 
 
 def test_rep004_fires_on_inf_equality():

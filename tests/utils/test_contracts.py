@@ -165,15 +165,3 @@ def test_metrics_postcondition_holds_on_real_graph():
     aspl, diam = h_aspl_and_diameter(clique_host_switch_graph(8, 6))
     assert aspl >= 2.0
     assert diam >= aspl
-
-
-def test_sampled_metric_precondition_rejects_empty_sources():
-    import numpy as np
-
-    from repro.core.construct import clique_host_switch_graph
-    from repro.core.metrics import h_aspl_sampled
-
-    set_contracts("on")
-    g = clique_host_switch_graph(8, 6)
-    with pytest.raises(ContractViolation, match="at least one sampled source"):
-        h_aspl_sampled(g, np.array([], dtype=np.int64))
