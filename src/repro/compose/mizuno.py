@@ -35,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.hostswitch import HostSwitchGraph
 from repro.utils.validation import check_positive_int
 
@@ -127,6 +129,12 @@ def compose_blocks(
     the clone of its block switch — placement is preserved copy by copy.
     ``radix`` defaults to the exact budget ``block.radix + copies - 1``; a
     larger value leaves spare ports, a smaller one is rejected.
+
+    The glue is vectorised: the block's edge and attachment arrays offset
+    per copy, plus the clone cliques from ``np.triu_indices``, go to one
+    :meth:`HostSwitchGraph.from_edges` call, which checks them in bulk and
+    validates once.  No mutator runs, and the fabric equals the one an
+    edge-by-edge build in the same order would give.
     """
     check_positive_int(copies, "copies")
     needed = block.radix + copies - 1
@@ -138,20 +146,18 @@ def compose_blocks(
             f"radix-{block.radix} block (needs >= {needed})"
         )
     m_b = block.num_switches
-    fabric = HostSwitchGraph(num_switches=m_b * copies, radix=radix)
-    block_edges = list(block.switch_edges())
-    for c in range(copies):
-        offset = c * m_b
-        for a, b in block_edges:
-            fabric.add_switch_edge(offset + a, offset + b)
-    for s in range(m_b):
-        for i in range(copies):
-            for j in range(i + 1, copies):
-                fabric.add_switch_edge(i * m_b + s, j * m_b + s)
-    attachments = [int(s) for s in block.host_attachments()]
-    for c in range(copies):
-        offset = c * m_b
-        for s in attachments:
-            fabric.attach_host(offset + s)
-    fabric.validate()
-    return fabric
+    # Edge order is that of a loop over copies (block edges in
+    # switch_edges() order), then over positions and clone pairs i < j.
+    offsets = np.arange(copies, dtype=np.int32) * m_b
+    block_edges = np.array(list(block.switch_edges()), dtype=np.int32).reshape(-1, 2)
+    copy_edges = (block_edges[None] + offsets[:, None, None]).reshape(-1, 2)
+    i, j = np.triu_indices(copies, k=1)
+    position = np.arange(m_b, dtype=np.int32)[:, None]
+    clique_edges = np.stack(
+        (offsets[i][None] + position, offsets[j][None] + position), axis=-1
+    ).reshape(-1, 2)
+    edges = np.concatenate((copy_edges, clique_edges))
+    del copy_edges, clique_edges
+    block_hosts = block.host_attachments().astype(np.int32)
+    attachments = (offsets[:, None] + block_hosts[None]).reshape(-1)
+    return HostSwitchGraph.from_edges(m_b * copies, radix, edges, attachments)

@@ -18,6 +18,8 @@ Provides:
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.core.hostswitch import HostSwitchGraph
@@ -101,19 +103,22 @@ def spread_hosts_evenly(graph: HostSwitchGraph, n: int) -> None:
 
     Deterministic: repeatedly attaches to the switch with the most free
     ports (ties to the lowest index), which yields an even spread whenever
-    capacities allow.
+    capacities allow.  A heap keyed ``(-free, s)`` makes that pick in
+    O(log m) per host.
     """
     check_positive_int(n, "n")
-    m = graph.num_switches
+    free = [graph.free_ports(s) for s in range(graph.num_switches)]
+    heap = [(-f, s) for s, f in enumerate(free) if f > 0]
+    heapq.heapify(heap)
     for _ in range(n):
-        best, best_free = -1, 0
-        for s in range(m):
-            free = graph.free_ports(s)
-            if free > best_free:
-                best, best_free = s, free
-        if best < 0:
+        if not heap:
             raise ValueError("ran out of free ports while attaching hosts")
+        neg_free, best = heap[0]
         graph.attach_host(best)
+        if neg_free < -1:
+            heapq.heapreplace(heap, (neg_free + 1, best))
+        else:
+            heapq.heappop(heap)
 
 
 def random_regular_switch_topology(
@@ -225,14 +230,9 @@ def random_regular_host_switch_graph(
     if m == 1:
         raise ValueError("regular host-switch graph needs m >= 2")
     edges = random_regular_switch_topology(m, k, seed=seed)
-    g = HostSwitchGraph(num_switches=m, radix=r)
-    for a, b in edges:
-        g.add_switch_edge(a, b)
-    for s in range(m):
-        for _ in range(hosts_per_switch):
-            g.attach_host(s)
-    g.validate()
-    return g
+    return HostSwitchGraph.from_edges(
+        m, r, edges, np.repeat(np.arange(m), hosts_per_switch)
+    )
 
 
 def random_host_switch_graph(
@@ -260,17 +260,22 @@ def random_host_switch_graph(
     if m > 1:
         # Random spanning tree: attach each new switch to a uniformly random
         # switch already in the tree that still has ports.
-        order = rng.permutation(m)
-        in_tree = [int(order[0])]
+        # ``candidates`` is the tree's switches with a free port, in the
+        # order they joined; only the new switch and its parent change.
+        order = rng.permutation(m).tolist()
+        candidates = [order[0]]
         for idx in order[1:]:
-            candidates = [s for s in in_tree if g.free_ports(s) >= 1]
             if not candidates:
                 raise ValueError(
                     f"cannot build a spanning tree: radix r={r} too small for m={m}"
                 )
-            parent = candidates[int(rng.integers(0, len(candidates)))]
-            g.add_switch_edge(int(idx), parent)
-            in_tree.append(int(idx))
+            pos = int(rng.integers(0, len(candidates)))
+            parent = candidates[pos]
+            g.add_switch_edge(idx, parent)
+            if g.free_ports(parent) < 1:
+                del candidates[pos]
+            if g.free_ports(idx) >= 1:
+                candidates.append(idx)
 
     total_ports = m * r
     tree_ports = 2 * (m - 1)
@@ -289,21 +294,26 @@ def random_host_switch_graph(
 
 
 def _add_random_edges(g: HostSwitchGraph, rng: np.random.Generator) -> None:
-    """Greedily add random legal switch edges until ports are ~saturated."""
+    """Greedily add random legal switch edges until ports are ~saturated.
+
+    ``free`` is the sorted list of switches with a free port; a switch
+    leaves it when an added edge fills it.
+    """
     m = g.num_switches
+    free = [s for s in range(m) if g.free_ports(s) >= 1]
     misses = 0
     max_misses = 20 * m
-    while misses < max_misses:
-        free = [s for s in range(m) if g.free_ports(s) >= 1]
-        if len(free) < 2:
-            return
-        a, b = rng.choice(len(free), size=2, replace=False)
-        a, b = free[int(a)], free[int(b)]
+    while misses < max_misses and len(free) >= 2:
+        i, j = (int(x) for x in rng.choice(len(free), size=2, replace=False))
+        a, b = free[i], free[j]
         if g.has_switch_edge(a, b):
             misses += 1
             continue
         g.add_switch_edge(a, b)
         misses = 0
+        for pos in sorted((i, j), reverse=True):
+            if g.free_ports(free[pos]) < 1:
+                del free[pos]
 
 
 def fill_hosts_sequentially(graph: HostSwitchGraph, n: int) -> None:

@@ -25,16 +25,27 @@ against the attachment array when present.
 
 The structure is mutable with O(1) edge/host moves so the simulated-annealing
 search (Section 5) can apply and undo moves cheaply.
+
+Graphs whose whole edge list is known up front (compose fabrics, parsed
+HSG text, regular start graphs) are built in bulk by
+:meth:`HostSwitchGraph.from_edges`: NumPy checks over the whole edge and
+attachment arrays, then one :meth:`~HostSwitchGraph.validate`, and no
+mutator (hence no contract check) per edge.  A set's iteration order
+follows its insertion history, and the annealer samples edges in
+:meth:`~HostSwitchGraph.switch_edges` order, so the bulk build fills
+every neighbour set in edge order, exactly as one
+:meth:`~HostSwitchGraph.add_switch_edge` per edge would.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.utils.contracts import graph_invariant
-from repro.utils.validation import check_nonnegative_int, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = ["HostSwitchGraph"]
 
@@ -416,15 +427,89 @@ class HostSwitchGraph:
         cls,
         num_switches: int,
         radix: int,
-        switch_edges: Iterable[tuple[int, int]],
-        host_attachments: Iterable[int],
+        switch_edges: Iterable[tuple[int, int]] | np.ndarray,
+        host_attachments: Iterable[int] | np.ndarray,
     ) -> "HostSwitchGraph":
-        """Build a graph from explicit edge and host-attachment lists."""
-        check_nonnegative_int(num_switches, "num_switches")
+        """Build a validated graph from whole edge and attachment arrays.
+
+        The bulk constructor: the checks the mutators make one call at a
+        time run once over the whole arrays (switch range, self loops,
+        parallel edges in either orientation, host switch range, port
+        budgets), then :meth:`validate` checks the result.  Edge ``i`` is
+        added as the ``i``-th :meth:`add_switch_edge` would add it and host
+        ``h`` is attached to ``host_attachments[h]``, so the graph equals
+        the edge-by-edge build down to :meth:`switch_edges` order.  Raises
+        ``ValueError`` naming the first offending edge, host or switch.
+        """
         g = cls(num_switches, radix)
-        for a, b in switch_edges:
-            g.add_switch_edge(a, b)
-        for s in host_attachments:
-            g.attach_host(s)
+        m = num_switches
+        edges = _index_array(switch_edges, "switch_edges").reshape(-1, 2)
+        hosts = _index_array(host_attachments, "host_attachments").reshape(-1)
+        _check_edge_array(edges, m)
+        bad = np.flatnonzero((hosts < 0) | (hosts >= m))
+        if bad.size:
+            h = int(bad[0])
+            raise ValueError(f"host {h} attached to invalid switch {int(hosts[h])}")
+        flat = edges.ravel()
+        degree = np.bincount(flat, minlength=m)
+        count = np.bincount(hosts, minlength=m)
+        over = np.flatnonzero(degree + count > radix)
+        if over.size:
+            s = int(over[0])
+            raise ValueError(
+                f"switch {s} has no free port (radix {radix}): "
+                f"{degree[s]} switch links + {count[s]} hosts"
+            )
+        # A stable sort of the endpoints [a0, b0, a1, b1, ...] lists each
+        # switch's edges in edge order; position p's neighbour is p ^ 1.
+        order = np.argsort(flat, kind="stable")
+        np.bitwise_xor(order, 1, out=order)
+        neighbours = flat[order]
+        del order
+        # One int object per switch id, shared by every set and the
+        # attachment list (no per-element int allocations).
+        ids = np.arange(m).astype(object)
+        nbr_ids = ids[neighbours].tolist()
+        del neighbours
+        bounds = [0, *np.cumsum(degree).tolist()]
+        g._adj = [set(nbr_ids[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        del nbr_ids
+        g._host_switch = ids[hosts].tolist()
+        g._hosts_per_switch = count.tolist()
+        g._num_switch_edges = len(edges)
         g.validate()
         return g
+
+
+def _index_array(values: Iterable[Any] | np.ndarray, what: str) -> np.ndarray:
+    """``values`` as an integer array (an ndarray is used as it is)."""
+    arr = values if isinstance(values, np.ndarray) else np.array(list(values))
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"{what} must hold integers, got dtype {arr.dtype}")
+    return arr
+
+
+def _check_edge_array(edges: np.ndarray, m: int) -> None:
+    """Reject out-of-range ids, self loops and parallel edges in ``edges``."""
+    if not edges.size:
+        return
+    lo = edges.min(axis=1)
+    hi = edges.max(axis=1)
+    bad = np.flatnonzero((lo < 0) | (hi >= m))
+    if bad.size:
+        a, b = edges[bad[0]].tolist()
+        raise ValueError(f"switch edge ({a}, {b}) names a switch outside 0..{m - 1}")
+    loops = np.flatnonzero(lo == hi)
+    if loops.size:
+        raise ValueError(f"self loop on switch {int(lo[loops[0]])} is not allowed")
+    key = lo.astype(np.int64) * m + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeats = np.flatnonzero(key[1:] == key[:-1])
+    if repeats.size:
+        # The stable sort keeps equal keys in edge order, so the earliest
+        # edge that repeats an earlier one is the least order[i + 1].
+        a, b = edges[order[repeats + 1].min()].tolist()
+        raise ValueError(f"switch edge ({a}, {b}) already exists")

@@ -64,13 +64,9 @@ class ODPSolution:
 
 def _embed(num_vertices: int, degree: int, edges) -> HostSwitchGraph:
     """ODP instance as a 1-host-per-switch host-switch graph."""
-    g = HostSwitchGraph(num_switches=num_vertices, radix=degree + 1)
-    for a, b in edges:
-        g.add_switch_edge(a, b)
-    for s in range(num_vertices):
-        g.attach_host(s)
-    g.validate()
-    return g
+    return HostSwitchGraph.from_edges(
+        num_vertices, degree + 1, edges, range(num_vertices)
+    )
 
 
 def solve_odp(

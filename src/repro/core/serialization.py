@@ -81,22 +81,19 @@ def graph_from_text(text: str) -> HostSwitchGraph:
     edge_lines = lines[3 : 3 + num_edges]
     if len(edge_lines) != num_edges:
         raise ValueError(f"expected {num_edges} edge lines, found {len(edge_lines)}")
-    graph = HostSwitchGraph(num_switches=m, radix=r)
+    edges: list[tuple[int, int]] = []
     for ln in edge_lines:
         fields = ln.split()
         if len(fields) != 2 or not all(f.lstrip("-").isdigit() for f in fields):
             raise ValueError(f"malformed edge line: {ln!r}")
-        graph.add_switch_edge(int(fields[0]), int(fields[1]))
+        edges.append((int(fields[0]), int(fields[1])))
     hosts_line = lines[3 + num_edges].split()
     if hosts_line[0] != "hosts":
         raise ValueError(f"expected 'hosts' line, got {lines[3 + num_edges]!r}")
     attachments = [int(v) for v in hosts_line[1:]]
     if len(attachments) != n:
         raise ValueError(f"header says n={n} but hosts line has {len(attachments)}")
-    for s in attachments:
-        graph.attach_host(s)
-    graph.validate()
-    return graph
+    return HostSwitchGraph.from_edges(m, r, edges, attachments)
 
 
 def save_graph(graph: HostSwitchGraph, path: str | Path) -> None:

@@ -24,8 +24,10 @@ Checking is controlled by the ``REPRO_CONTRACTS`` environment variable:
   the full O(m + E + n) :meth:`HostSwitchGraph.validate` after every
   mutation.  Intended for tests and debugging, not for annealing runs.
 
-Tests (and long-running jobs) can override the environment with
-:func:`set_contracts` without touching ``os.environ``.
+The variable is read on the first check and cached.  Tests (and
+long-running jobs) can override the level with :func:`set_contracts`
+without touching ``os.environ``; ``set_contracts(None)`` drops the
+override and re-reads the variable.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ _ENV_VAR = "REPRO_CONTRACTS"
 _OFF_VALUES = frozenset({"0", "false", "off", "no"})
 _FULL_VALUES = frozenset({"full", "2", "all"})
 
-# Test/runtime override: None defers to the environment variable.
-_forced_level: str | None = None
+# The level in force: set by set_contracts, else parsed from the
+# environment on first use (None until then).
+_level: str | None = None
 
 F = TypeVar("F", bound=Callable[..., Any])
 
@@ -60,15 +63,21 @@ class ContractViolation(AssertionError):
 
 
 def contracts_level() -> str:
-    """Current checking level: ``"off"``, ``"on"``, or ``"full"``."""
-    if _forced_level is not None:
-        return _forced_level
-    raw = os.environ.get(_ENV_VAR, "1").strip().lower()
-    if raw in _OFF_VALUES:
-        return "off"
-    if raw in _FULL_VALUES:
-        return "full"
-    return "on"
+    """Current checking level: ``"off"``, ``"on"``, or ``"full"``.
+
+    The environment variable is read once and cached; :func:`set_contracts`
+    replaces the cached level (``None`` makes the next call re-read it).
+    """
+    global _level
+    if _level is None:
+        raw = os.environ.get(_ENV_VAR, "1").strip().lower()
+        if raw in _OFF_VALUES:
+            _level = "off"
+        elif raw in _FULL_VALUES:
+            _level = "full"
+        else:
+            _level = "on"
+    return _level
 
 
 def contracts_enabled() -> bool:
@@ -77,18 +86,19 @@ def contracts_enabled() -> bool:
 
 
 def set_contracts(level: str | bool | None) -> None:
-    """Override the contract level in-process (``None`` restores the env).
+    """Override the contract level in-process (``None`` re-reads the env).
 
     Accepts the level strings (``"off"``/``"on"``/``"full"``) or a bool
-    (``True`` -> ``"on"``, ``False`` -> ``"off"``).
+    (``True`` -> ``"on"``, ``False`` -> ``"off"``).  Code that changes
+    ``REPRO_CONTRACTS`` at run time calls ``set_contracts(None)`` after it.
     """
-    global _forced_level
+    global _level
     if level is None or isinstance(level, str):
         if isinstance(level, str) and level not in ("off", "on", "full"):
             raise ValueError(f"level must be 'off', 'on', or 'full', got {level!r}")
-        _forced_level = level
+        _level = level
     else:
-        _forced_level = "on" if level else "off"
+        _level = "on" if level else "off"
 
 
 def requires(predicate: Callable[..., bool], message: str = "") -> Callable[[F], F]:

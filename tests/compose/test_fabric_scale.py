@@ -65,21 +65,6 @@ class TestBuildFabric:
 
 
 class TestHundredThousandHosts:
-    @pytest.fixture(autouse=True)
-    def _spot_check_contracts(self):
-        # REPRO_CONTRACTS=full re-validates the whole graph per mutation
-        # (O(m + E + n) each), which is quadratic across the ~35k glue
-        # edges of a 100k-host build.  The test calls validate() on the
-        # finished fabric itself, so cap the per-mutation level at "on".
-        from repro.utils.contracts import contracts_level, set_contracts
-
-        if contracts_level() != "full":
-            yield
-            return
-        set_contracts("on")
-        yield
-        set_contracts(None)
-
     def test_100k_fabric_under_a_minute(self, tmp_path):
         # Block n_b=2500 at r_b=100 is clique-feasible (solve_orp's trivial
         # regime, no annealing), so 40 copies reach n=100,000 exactly at

@@ -9,8 +9,11 @@ from repro.compose.mizuno import (
     compose_blocks,
     plan_composition,
 )
-from repro.core.construct import clique_host_switch_graph
+from repro.core.annealing import AnnealingSchedule, anneal
+from repro.core.construct import clique_host_switch_graph, random_host_switch_graph
+from repro.core.hostswitch import HostSwitchGraph
 from repro.core.metrics import switch_distance_matrix
+from repro.core.serialization import graph_to_text
 
 
 class TestPlanComposition:
@@ -111,3 +114,43 @@ class TestComposeBlocks:
         assert fabric.num_hosts == block.num_hosts
         assert fabric.num_switches == block.num_switches
         assert sorted(fabric.switch_edges()) == sorted(block.switch_edges())
+
+
+def _per_edge_glue(block: HostSwitchGraph, copies: int) -> HostSwitchGraph:
+    """Reference glue: one mutator call per fabric edge and per host."""
+    m_b = block.num_switches
+    fabric = HostSwitchGraph(m_b * copies, block.radix + copies - 1)
+    block_edges = list(block.switch_edges())
+    for c in range(copies):
+        for a, b in block_edges:
+            fabric.add_switch_edge(c * m_b + a, c * m_b + b)
+    for s in range(m_b):
+        for i in range(copies):
+            for j in range(i + 1, copies):
+                fabric.add_switch_edge(i * m_b + s, j * m_b + s)
+    for c in range(copies):
+        for s in block.host_attachments().tolist():
+            fabric.attach_host(c * m_b + s)
+    fabric.validate()
+    return fabric
+
+
+@pytest.fixture(scope="module", params=["clique", "annealed"])
+def glue_block(request):
+    if request.param == "clique":
+        return clique_host_switch_graph(40, 12)
+    # Annealing removes and re-adds edges, so the block's neighbour sets
+    # carry a removal history into switch_edges() order.
+    start = random_host_switch_graph(64, 12, 8, seed=1)
+    return anneal(start, schedule=AnnealingSchedule(num_steps=300), seed=1).graph
+
+
+@pytest.mark.parametrize("copies", [1, 2, 5])
+def test_bulk_glue_equals_per_edge_glue(glue_block, copies):
+    fabric = compose_blocks(glue_block, copies)
+    ref = _per_edge_glue(glue_block, copies)
+    assert fabric == ref
+    assert graph_to_text(fabric) == graph_to_text(ref)
+    assert list(fabric.switch_edges()) == list(ref.switch_edges())
+    assert [list(nbrs) for nbrs in fabric._adj] == [list(nbrs) for nbrs in ref._adj]
+    assert fabric.host_attachments().tolist() == ref.host_attachments().tolist()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from repro.core.construct import (
 )
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.metrics import h_aspl
+from repro.core.serialization import graph_to_text
 
 
 class TestStar:
@@ -120,8 +123,58 @@ class TestRandomGraph:
         g = random_host_switch_graph(10, 5, 8, seed=1, fill_edges=False)
         assert g.num_switch_edges == 4  # spanning tree on 5 switches
 
+    # sha256 of the HSG text and of the switch_edges() order, taken from
+    # the construction that rescanned every switch per edge and per host;
+    # the maintained free lists and the host heap must reproduce both.
+    @pytest.mark.parametrize(
+        ("shape", "text_digest", "order_digest"),
+        [
+            (
+                (4096, 734, 16, 0),
+                "fe4e225183de65c446d29ff68728d9be0905743f3407e8f0d6669cef1947f4a3",
+                "b6194b663e3a7bca21bd286bd1d19434db490f4fce4fb0dff757103d93cc69c4",
+            ),
+            (
+                (4096, 734, 16, 1000003),
+                "7b048b0bd1f749568dca26ac92c0598e1e343408a174d1c79232610e9aab3b7d",
+                "ed8e7957e4bcf4bc20c4b996fe33f0b87f806f499a71b98327790d630f4c8c84",
+            ),
+            (
+                (1024, 180, 15, 0),
+                "16cbbf9bfd2a77fe0598c0a8ddb69c7b0065281b2a5ff142f9b9921c80aabaf1",
+                "b5f0d0f4a4703e937fbecf5d983ec2f32625d6b410c2a9a84658333b5788fe12",
+            ),
+            (
+                (256, 40, 10, 7),
+                "78a120f9eb533e52054d0dc29707773d0ec62d40a1a9033e8280bcc3b47a61dd",
+                "5b9ded9e1fe961feba5a32e0fcdc36c43b7f37a85c59eab76027c478f5fe5029",
+            ),
+        ],
+    )
+    def test_pinned_digests(self, shape, text_digest, order_digest):
+        n, m, r, seed = shape
+        g = random_host_switch_graph(n, m, r, seed=seed)
+        order = " ".join(f"{a}-{b}" for a, b in g.switch_edges())
+        assert hashlib.sha256(graph_to_text(g).encode()).hexdigest() == text_digest
+        assert hashlib.sha256(order.encode()).hexdigest() == order_digest
+
 
 class TestHostFills:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 40))
+    def test_spread_evenly_picks_like_a_full_scan(self, seed, n):
+        # Reference: rescan every switch per host for the most free ports,
+        # ties to the lowest id.
+        g = random_host_switch_graph(24, 12, 7, seed=seed, fill_edges=False)
+        ref = g.copy()
+        free_total = sum(g.free_ports(s) for s in range(g.num_switches))
+        n = min(n, free_total)
+        spread_hosts_evenly(g, n)
+        for _ in range(n):
+            free = [ref.free_ports(s) for s in range(ref.num_switches)]
+            ref.attach_host(free.index(max(free)))
+        assert g == ref
+
     def test_spread_evenly_balances(self):
         g = HostSwitchGraph(4, 6)
         for a in range(3):

@@ -39,6 +39,99 @@ class TestConstruction:
         assert "n=2" in text and "m=2" in text and "r=4" in text
 
 
+def _per_edge_build(m, r, edges, hosts):
+    """Reference build: one mutator call per edge, then one per host."""
+    g = HostSwitchGraph(m, r)
+    for a, b in edges:
+        g.add_switch_edge(a, b)
+    for s in hosts:
+        g.attach_host(s)
+    g.validate()
+    return g
+
+
+@st.composite
+def _legal_inputs(draw):
+    """A random legal ``(m, r, edges, hosts)`` in random edge order.
+
+    Up to 40 switches, so small-int set slots collide and a neighbour
+    set's iteration order depends on its insertion history.
+    """
+    m = draw(st.integers(1, 40))
+    r = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=80))
+    used = [0] * m
+    seen = set()
+    edges = []
+    for a, b in pairs:
+        key = (min(a, b), max(a, b))
+        if a != b and key not in seen and used[a] < r and used[b] < r:
+            seen.add(key)
+            used[a] += 1
+            used[b] += 1
+            edges.append((a, b))
+    open_ports = [s for s in range(m) for _ in range(r - used[s])]
+    hosts = draw(st.permutations(open_ports))
+    return m, r, edges, hosts[: draw(st.integers(0, len(hosts)))]
+
+
+class TestBulkConstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(_legal_inputs(), st.booleans())
+    def test_equals_per_edge_build(self, inputs, as_arrays):
+        m, r, edges, hosts = inputs
+        ref = _per_edge_build(m, r, edges, hosts)
+        if as_arrays:
+            bulk = HostSwitchGraph.from_edges(
+                m, r, np.array(edges, dtype=np.int32).reshape(-1, 2),
+                np.array(hosts, dtype=np.int32),
+            )
+        else:
+            bulk = HostSwitchGraph.from_edges(m, r, edges, hosts)
+        assert bulk == ref
+        assert graph_to_text(bulk) == graph_to_text(ref)
+        assert list(bulk.switch_edges()) == list(ref.switch_edges())
+        assert [list(nbrs) for nbrs in bulk._adj] == [list(nbrs) for nbrs in ref._adj]
+        assert np.array_equal(bulk.host_attachments(), ref.host_attachments())
+        assert bulk.num_switch_edges == ref.num_switch_edges
+        assert all(type(b) is int for nbrs in bulk._adj for b in nbrs)
+        assert all(type(s) is int for s in bulk._host_switch)
+        assert all(type(k) is int for k in bulk._hosts_per_switch)
+
+    @pytest.mark.parametrize(
+        ("m", "r", "edges", "hosts", "match"),
+        [
+            (3, 4, [(0, 1), (1, 1)], [], r"self loop on switch 1"),
+            (3, 4, [(0, 1), (1, 2), (0, 1)], [], r"switch edge \(0, 1\) already exists"),
+            (3, 4, [(0, 1), (1, 2), (1, 0)], [], r"switch edge \(1, 0\) already exists"),
+            (3, 4, [(0, 1), (0, 3)], [], r"switch edge \(0, 3\) names a switch outside"),
+            (3, 4, [(0, 1), (-1, 2)], [], r"switch edge \(-1, 2\) names a switch outside"),
+            (4, 2, [(0, 1), (0, 2), (0, 3)], [], r"switch 0 has no free port"),
+            (2, 2, [], [0, 1, 1, 1], r"switch 1 has no free port"),
+            (3, 2, [(0, 1), (1, 2)], [0, 1], r"switch 1 has no free port"),
+            (2, 4, [(0, 1)], [0, 2], r"host 1 attached to invalid switch 2"),
+            (2, 4, [(0, 1)], [-1], r"host 0 attached to invalid switch -1"),
+        ],
+        ids=[
+            "self-loop", "parallel", "parallel-reversed", "id-too-large", "id-negative",
+            "edges-overflow", "hosts-overflow", "both-overflow", "host-switch-too-large",
+            "host-switch-negative",
+        ],
+    )
+    def test_rejects_illegal_input(self, m, r, edges, hosts, match):
+        with pytest.raises(ValueError, match=match):
+            HostSwitchGraph.from_edges(m, r, edges, hosts)
+
+    def test_no_edges_no_hosts(self):
+        g = HostSwitchGraph.from_edges(3, 4, [], [])
+        assert g == HostSwitchGraph(3, 4)
+        assert g.num_switch_edges == 0 and g.num_hosts == 0
+
+    def test_non_integer_ids_rejected(self):
+        with pytest.raises(TypeError, match="integers"):
+            HostSwitchGraph.from_edges(3, 4, [(0.0, 1.0)], [])
+
+
 class TestSwitchEdges:
     def test_add_and_query(self):
         g = HostSwitchGraph(3, 4)

@@ -56,6 +56,43 @@ def test_set_contracts_overrides_env(monkeypatch):
     assert contracts_level() == "off"
 
 
+def test_env_is_read_once_until_reset(monkeypatch):
+    monkeypatch.setenv("REPRO_CONTRACTS", "1")
+    set_contracts(None)
+    assert contracts_level() == "on"
+    monkeypatch.setenv("REPRO_CONTRACTS", "off")
+    assert contracts_level() == "on"  # cached
+    set_contracts(None)
+    assert contracts_level() == "off"
+
+
+def test_counting_wrapper_sees_each_mutator_check(monkeypatch):
+    # The end-to-end tracer counts checks by wrapping the module attribute,
+    # so every mutator must look contracts_level up at check time.
+    import repro.utils.contracts as contracts
+
+    set_contracts("on")
+    calls = []
+    real = contracts.contracts_level
+
+    def counting() -> str:
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(contracts, "contracts_level", counting)
+    g = HostSwitchGraph(num_switches=3, radix=4)
+    g.add_switch_edge(0, 1)
+    g.add_switch_edge(1, 2)
+    h = g.attach_host(0)
+    g.move_host(h, 2)
+    g.move_any_host(2, 0)
+    g.remove_switch_edge(0, 1)
+    assert len(calls) == 6
+    calls.clear()
+    HostSwitchGraph.from_edges(3, 4, [(0, 1), (1, 2)], [0, 2])
+    assert calls == []  # the bulk constructor makes no mutator call
+
+
 def test_set_contracts_accepts_bool():
     set_contracts(False)
     assert contracts_level() == "off"
