@@ -14,26 +14,33 @@ so an index entry certifies a complete artifact set.  The file is
 append-only: each record is published with a single ``O_APPEND`` write
 (atomic for concurrent pool workers well below ``PIPE_BUF``), so any
 number of writers and readers interleave safely without locks.  Readers
-tolerate torn or foreign trailing lines (a killed writer, a truncating
-copy) by skipping undecodable records.
+decode complete (newline-terminated) lines only and skip foreign ones, so
+a torn tail (a killed writer, a truncating copy) is read once it is
+complete.
 
 This module owns the *pure* side of the index — record encode/decode and
-the fold that picks the best entry per ``(n, r)`` with the store's
-historical tie-break (lowest h-ASPL, ties to the lexicographically
-smallest digest, so answers stay deterministic and bit-identical to a
-full scan).  All file writes stay in ``store.py``, the campaign package's
-single write path (repro-lint REP008).
+the one fold, :class:`Leaderboard`, that ranks the candidates per
+``(n, r)`` with the store's historical tie-break (lowest h-ASPL, ties to
+the lexicographically smallest digest, so answers stay deterministic and
+bit-identical to a full scan).  A reader that folds the lines appended
+since its last read gets the board a full decode would.  All file I/O
+stays in ``store.py``, the campaign package's single write path
+(repro-lint REP008).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import insort
+from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import attrgetter
 
 __all__ = [
     "INDEX_FILE",
     "IndexEntry",
     "IndexRebuildStats",
+    "Leaderboard",
     "best_by_nr",
     "best_candidates",
     "decode_index_text",
@@ -44,6 +51,7 @@ __all__ = [
 INDEX_FILE = "index.jsonl"
 
 _REQUIRED_KEYS = ("digest", "n", "r", "h_aspl")
+_RANK = attrgetter("sort_key")
 
 
 @dataclass(frozen=True)
@@ -89,15 +97,18 @@ def encode_entry(entry: IndexEntry) -> str:
 
 
 def decode_index_text(text: str) -> list[IndexEntry]:
-    """Decode an index file's content, skipping torn or foreign lines.
+    """Decode an index file's complete lines, skipping foreign ones.
 
-    A long-running server reads the index while workers append to it;
-    robustness beats strictness here, so anything that does not decode to
-    a complete record is silently dropped (mid-write states must never
-    raise — the next poll sees the completed line).
+    Only newline-terminated lines count: every writer publishes a whole
+    line in one write, so text after the last newline is a record still
+    being written (or a torn one) and is left for a later read.  A
+    long-running server reads the index while workers append to it;
+    robustness beats strictness here, so a line that does not decode to a
+    complete record is silently dropped (mid-write states must never
+    raise).
     """
     entries: list[IndexEntry] = []
-    for line in text.splitlines():
+    for line in text.split("\n")[:-1]:
         line = line.strip()
         if not line:
             continue
@@ -122,33 +133,52 @@ def decode_index_text(text: str) -> list[IndexEntry]:
     return entries
 
 
-def _dedup_latest(entries: list[IndexEntry]) -> dict[str, IndexEntry]:
-    """Last record per digest wins (re-saves of a content-addressed point
-    carry identical payloads, so "latest" is a formality, not a choice)."""
-    return {entry.digest: entry for entry in entries}
+class Leaderboard:
+    """Best-first candidates per ``(n, r)``, folded from index records.
+
+    Records fold in file order: the last record for a digest wins (re-saves
+    of a content-addressed point carry identical payloads, so "latest" is
+    a formality, not a choice), and each key's candidates stay sorted by
+    :attr:`IndexEntry.sort_key`.  Folding a file's records in one call or
+    in any split of them gives the same board, so a reader can fold just
+    the lines appended since its last read.
+    """
+
+    def __init__(self, entries: Iterable[IndexEntry] = ()) -> None:
+        self._latest: dict[str, IndexEntry] = {}
+        self._ranked: dict[tuple[int, int], list[IndexEntry]] = {}
+        self.fold(entries)
+
+    def fold(self, entries: Iterable[IndexEntry]) -> None:
+        """Fold further records, in file order, into the board."""
+        for entry in entries:
+            old = self._latest.get(entry.digest)
+            if old == entry:
+                continue
+            if old is not None:
+                self._ranked[(old.n, old.r)].remove(old)
+            self._latest[entry.digest] = entry
+            insort(self._ranked.setdefault((entry.n, entry.r), []), entry, key=_RANK)
+
+    def candidates(self, n: int, r: int) -> list[IndexEntry]:
+        """A new list of the entries at exactly ``(n, r)``, best first."""
+        return list(self._ranked.get((n, r), ()))
+
+    def best(self) -> dict[tuple[int, int], IndexEntry]:
+        """The best entry per ``(n, r)``."""
+        return {key: ranked[0] for key, ranked in self._ranked.items() if ranked}
 
 
-def best_candidates(entries: list[IndexEntry], n: int, r: int) -> list[IndexEntry]:
-    """Entries at exactly ``(n, r)``, best first (see :attr:`sort_key`).
+def best_candidates(entries: Iterable[IndexEntry], n: int, r: int) -> list[IndexEntry]:
+    """Entries at exactly ``(n, r)``, best first (see :class:`Leaderboard`).
 
     Callers walk the list and take the first candidate whose artifacts
     still verify on disk, which keeps the answer identical to a full scan
     even when point directories were deleted behind the index's back.
     """
-    matching = [
-        entry
-        for entry in _dedup_latest(entries).values()
-        if entry.n == n and entry.r == r
-    ]
-    return sorted(matching, key=lambda entry: entry.sort_key)
+    return Leaderboard(entries).candidates(n, r)
 
 
-def best_by_nr(entries: list[IndexEntry]) -> dict[tuple[int, int], IndexEntry]:
+def best_by_nr(entries: Iterable[IndexEntry]) -> dict[tuple[int, int], IndexEntry]:
     """The leaderboard itself: best entry per ``(n, r)`` over ``entries``."""
-    best: dict[tuple[int, int], IndexEntry] = {}
-    for entry in _dedup_latest(entries).values():
-        key = (entry.n, entry.r)
-        current = best.get(key)
-        if current is None or entry.sort_key < current.sort_key:
-            best[key] = entry
-    return best
+    return Leaderboard(entries).best()

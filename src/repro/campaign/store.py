@@ -29,10 +29,12 @@ The store doubles as a serving backend (:mod:`repro.serve`):
 point (:mod:`repro.campaign.index`), updated atomically by
 :meth:`CampaignStore.save_result` *after* the point's artifacts landed.
 :meth:`best_for` answers from the index in one small file read instead of
-an O(points) directory scan; the scan survives only in the explicit
-:meth:`rebuild_index` path (CLI ``--rebuild-index``) and is tolerant of
-corrupt artifacts — unreadable points are skipped and counted, never
-allowed to poison the whole answer.  Readers likewise tolerate every
+an O(points) directory scan, and a long-lived reader (the serve layer)
+keeps an :class:`IndexCursor` that reads only the lines appended since its
+last read.  The scan survives only in :meth:`rebuild_index` (CLI
+``--rebuild-index``) and the one-time migration of a legacy store, and is
+tolerant of corrupt artifacts — unreadable points are skipped and counted,
+never allowed to poison the whole answer.  Readers likewise tolerate every
 mid-write state a long-running server can observe: point directories
 whose ``result.json`` has not yet been replaced, ``*.tmp`` debris from
 killed workers (excluded from :meth:`digests`), and checkpoint files
@@ -47,7 +49,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.analysis.resilience import (
     RESILIENCE_RESULT_FORMAT,
@@ -71,6 +73,7 @@ from repro.core.serialization import (
 __all__ = [
     "BestPoint",
     "CampaignStore",
+    "IndexCursor",
     "IndexEntry",
     "IndexRebuildStats",
     "ScanBest",
@@ -130,6 +133,35 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _claim_file(path: Path, text: str) -> bool:
+    """Create ``path`` holding ``text`` unless it exists; ``True`` if this
+    writer created it.
+
+    The text goes to a temp file private to this writer, which is then
+    hard-linked onto ``path``: exactly one of any number of concurrent
+    claimants creates the link, and no reader ever sees a partial file.  A
+    filesystem without hard links falls back to an ``O_EXCL`` create of
+    ``path`` (still exclusive; a crash mid-write can leave it torn).
+    """
+    tmp = _writer_temp(path)
+    tmp.write_text(text)
+    try:
+        os.link(tmp, path)
+        return True
+    except FileExistsError:
+        return False
+    except OSError:
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND)
+        except FileExistsError:
+            return False
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        return True
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _atomic_write_json(path: Path, obj: Any) -> None:
     _atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
@@ -147,6 +179,81 @@ def _read_json_opt(path: Path) -> Any | None:
         return json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
+
+
+def _decode_index(data: bytes) -> list[IndexEntry]:
+    return decode_index_text(data.decode("utf-8", "replace"))
+
+
+class IndexCursor:
+    """A reader's byte position in one store's ``index.jsonl``.
+
+    :meth:`read` decodes only the complete lines appended since the
+    previous read; it never consumes past the last newline, so a torn tail
+    is read once it is complete.  It reads the whole file again when the
+    file changed under it: a new inode (a rebuild's replace, a delete and
+    re-create), a size below the one it last saw (a truncation), a changed
+    mtime at an unchanged size (a same-size rewrite), or the last consumed
+    line no longer at its offset (a rewrite that grew).  The cursor keeps
+    the file open, which pins its inode: a re-created index cannot reuse
+    the number.  Not thread-safe; :meth:`close` releases the file.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self._file: BinaryIO | None = None
+        self._stamp = (0, 0, 0, 0)
+        """``(st_dev, st_ino, st_size, st_mtime_ns)`` at the last read."""
+        self._offset = 0
+        """End of the last complete line consumed."""
+        self._last = b""
+        """That line, newline included."""
+
+    def read(self) -> tuple[bool, list[IndexEntry]]:
+        """``(full, entries)`` of the complete lines not consumed yet.
+
+        ``full`` means the entries are the whole current file and replace
+        everything read before; a missing file reads as empty.
+        """
+        try:
+            stat: os.stat_result | None = os.stat(self.path)
+        except OSError:
+            stat = None
+        if stat is None or self._file is None or (stat.st_dev, stat.st_ino) != self._stamp[:2]:
+            had_file = self._file is not None
+            self.close()
+            try:
+                self._file = open(self.path, "rb", buffering=0)
+            except OSError:
+                return had_file, []
+            stat = os.fstat(self._file.fileno())
+        elif (stat.st_size, stat.st_mtime_ns) == self._stamp[2:]:
+            return False, []
+        elif stat.st_size > self._stamp[2]:
+            start = self._offset - len(self._last)
+            self._file.seek(start)
+            data = self._file.read(stat.st_size - start)
+            if data.startswith(self._last):
+                return False, self._consume(stat, data[len(self._last) :])
+        self._offset, self._last = 0, b""
+        self._file.seek(0)
+        return True, self._consume(stat, self._file.read(stat.st_size))
+
+    def close(self) -> None:
+        """Release the file; the next read starts over with a full read."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+
+    def _consume(self, stat: os.stat_result, data: bytes) -> list[IndexEntry]:
+        """Decode the complete lines of ``data``, the bytes from the offset."""
+        self._stamp = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        end = data.rfind(b"\n") + 1
+        if end == 0:
+            return []
+        self._offset += end
+        self._last = data[data.rfind(b"\n", 0, end - 1) + 1 : end]
+        return _decode_index(data[:end])
 
 
 class CampaignStore:
@@ -172,12 +279,11 @@ class CampaignStore:
         new campaign name instead of silently reinterpreting old results).
 
         The binding is race-free for concurrent submitters: the document is
-        written to a per-writer temp file and *claimed* with an atomic
-        :func:`os.link` onto ``spec.json`` — exactly one writer can create
-        the link, every loser observes the winner's complete document and
-        either agrees (no-op) or gets :class:`StoreError`.  The old
-        check-then-write sequence let two submitters with different specs
-        both believe they had bound the campaign.
+        *claimed* onto ``spec.json`` (:func:`_claim_file`) — exactly one
+        writer creates the file, every loser observes the winner's complete
+        document and either agrees (no-op) or gets :class:`StoreError`.
+        The old check-then-write sequence let two submitters with different
+        specs both believe they had bound the campaign.
 
         A newly bound campaign also gets its empty leaderboard index (see
         :meth:`_ensure_index`).
@@ -185,31 +291,9 @@ class CampaignStore:
         document = dict(spec.raw) if spec.raw else {"name": spec.name}
         serialized = json.dumps(document, sort_keys=True, indent=1) + "\n"
         self.dir.mkdir(parents=True, exist_ok=True)
-        tmp = _writer_temp(self.spec_path)
-        tmp.write_text(serialized)
-        try:
-            os.link(tmp, self.spec_path)
+        if _claim_file(self.spec_path, serialized):
             self._ensure_index()
             return
-        except FileExistsError:
-            pass
-        except OSError:
-            # Filesystem without hard links: fall back to an O_EXCL create
-            # of the final path (still exclusive; the torn-write window on
-            # a crash mid-write is the price of the degraded filesystem).
-            try:
-                fd = os.open(
-                    self.spec_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL
-                )
-            except FileExistsError:
-                pass
-            else:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(serialized)
-                self._ensure_index()
-                return
-        finally:
-            tmp.unlink(missing_ok=True)
         existing = _read_json(self.spec_path)
         if canonical_json(existing) != canonical_json(document):
             raise StoreError(
@@ -305,12 +389,12 @@ class CampaignStore:
         return self.index_path.exists()
 
     def index_entries(self) -> list[IndexEntry]:
-        """All leaderboard records (tolerant of torn trailing lines)."""
+        """All leaderboard records (complete lines only, foreign ones skipped)."""
         try:
-            text = self.index_path.read_text()
+            data = self.index_path.read_bytes()
         except OSError:
             return []
-        return decode_index_text(text)
+        return _decode_index(data)
 
     def _ensure_index(self) -> None:
         """Create the empty index of a store that holds no point yet.
@@ -332,17 +416,24 @@ class CampaignStore:
             pass
 
     def _index_publish(self, entry: IndexEntry) -> None:
-        """Append one record; first write into a legacy store rebuilds.
+        """Append one record; the first write into a legacy store migrates.
 
         The append is a single ``O_APPEND`` write (atomic between
         concurrent pool workers).  A store that predates the index but
-        already holds points gets a one-time full rebuild here instead of
-        a bare append — an index missing older entries would serve wrong
-        leaders, which is worse than one migration scan at *write* time.
+        already holds points gets its index from one full scan here
+        instead of a bare append — an index missing older entries would
+        serve wrong leaders, which is worse than one migration scan at
+        *write* time.  Concurrent first writers each scan, and the scan is
+        claimed onto the index atomically (:func:`_claim_file`, as
+        :meth:`save_spec` claims ``spec.json``); a writer that loses the
+        claim appends its own record, which the winner's scan may have
+        missed.  Replacing the file instead let the last writer's scan win
+        and drop the points published meanwhile.
         """
         if not self.has_index():
-            self.rebuild_index()
-            return
+            entries, _ = self._scan_index()
+            if _claim_file(self.index_path, "".join(map(encode_entry, entries))):
+                return
         data = encode_entry(entry).encode()
         fd = os.open(self.index_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         try:
@@ -354,13 +445,24 @@ class CampaignStore:
         """Regenerate ``index.jsonl`` from a full artifact scan.
 
         The **only** O(points) path left in the query story (explicit
-        ``--rebuild-index`` in the CLI, or the one-time legacy-store
-        migration in :meth:`_index_publish`).  Corrupt or torn points are
-        skipped and counted — a single bad artifact must never take down
-        the whole leaderboard.  The new index is published atomically
-        (temp + :func:`os.replace`), so concurrent readers see either the
-        old or the new file, never a partial one.
+        ``--rebuild-index`` in the CLI; the one-time legacy-store migration
+        in :meth:`_index_publish` runs the same scan).  Corrupt or torn
+        points are skipped and counted — a single bad artifact must never
+        take down the whole leaderboard.  The new index is published
+        atomically (temp + :func:`os.replace`), so concurrent readers see
+        either the old or the new file, never a partial one.
         """
+        entries, skipped = self._scan_index()
+        _atomic_write_text(self.index_path, "".join(map(encode_entry, entries)))
+        return IndexRebuildStats(
+            entries=len(entries),
+            skipped=len(skipped),
+            skipped_digests=tuple(skipped),
+        )
+
+    def _scan_index(self) -> tuple[list[IndexEntry], list[str]]:
+        """Index records of every solved plain-ORP point, and the digests
+        of the unreadable points skipped (a full artifact scan)."""
         entries: list[IndexEntry] = []
         skipped: list[str] = []
         for digest in self.digests():
@@ -397,14 +499,7 @@ class CampaignStore:
                     h_aspl=float(h_aspl),
                 )
             )
-        _atomic_write_text(
-            self.index_path, "".join(encode_entry(entry) for entry in entries)
-        )
-        return IndexRebuildStats(
-            entries=len(entries),
-            skipped=len(skipped),
-            skipped_digests=tuple(skipped),
-        )
+        return entries, skipped
 
     def best_for(self, n: int, r: int) -> BestPoint | None:
         """Best known plain-ORP result for exactly ``(n, r)``, or ``None``.

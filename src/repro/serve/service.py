@@ -4,17 +4,19 @@
 campaign store root (each campaign directory is one *shard*) into a
 query backend for "best known topology for ``(n, r)``":
 
-- **index answers** — the shards' append-only leaderboard indexes
-  (:mod:`repro.campaign.index`) are cached in memory and revalidated by
-  file ``(mtime, size)`` per query, so a warm hit costs zero file reads
-  and a refreshed shard is picked up on the next query without any
-  invalidation protocol (the index file only ever grows or is atomically
-  replaced).
+- **index answers** — each shard keeps a warm leaderboard
+  (:class:`repro.campaign.index.Leaderboard`) and a byte cursor into its
+  append-only index (:class:`repro.campaign.store.IndexCursor`); per query
+  it folds in only the complete lines appended since the last query, so an
+  unchanged index costs one ``stat`` and no read, and a changed shard is
+  picked up on the next query without any invalidation protocol.
 - **compose fallback** — an uncovered ``(n, r)`` is planned as a Mizuno
   composition (:func:`repro.compose.mizuno.plan_composition`); when a
   shard holds the plan's block, the answer is the analytically predicted
   fabric h-ASPL (:mod:`repro.compose.predict`) with the block's digest as
-  provenance.
+  provenance.  Block summaries are memoized per shard and block digest
+  (blocks are content-addressed), so only the first answer from a block
+  loads and measures it.
 - **bounds fallback** — failing both, the theoretical floor
   (:func:`repro.core.bounds.h_aspl_lower_bound` et al.) so every feasible
   query gets *an* answer.
@@ -24,11 +26,13 @@ query backend for "best known topology for ``(n, r)``":
   misses on one key share one refinement, and a completed refinement is
   an index hit on the next query.
 
-Concurrency model: everything except the solver runs on the event loop —
-one thread, no locks.  Concurrent queries for the same ``(n, r)`` are
-*batched* behind one shared future; distinct keys run under a semaphore
-(``max_concurrency``); queries beyond ``max_pending`` waiting are
-rejected fast (:class:`ServeBusy`) instead of queueing unboundedly.
+Concurrency model: everything except the fallback answers and the solver
+runs on the event loop — one thread, no locks.  The leaderboards change in
+place, so the loop thread takes the candidate lists before handing a
+fallback answer to a worker thread.  Concurrent queries for the same
+``(n, r)`` are *batched* behind one shared future; distinct keys run under
+a semaphore (``max_concurrency``); queries beyond ``max_pending`` waiting
+are rejected fast (:class:`ServeBusy`) instead of queueing unboundedly.
 Refinement solves run in ``asyncio.to_thread`` with a private telemetry
 registry merged back on completion (JSONL sinks are not thread-safe).
 """
@@ -39,13 +43,17 @@ import asyncio
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.campaign.index import IndexEntry, best_candidates
-from repro.campaign.store import CampaignStore
+from repro.campaign.index import IndexEntry, Leaderboard
+from repro.campaign.store import BestPoint, CampaignStore, IndexCursor
 from repro.obs import NULL_TELEMETRY, TelemetryRegistry
 from repro.obs import clock as obs_clock
 from repro.serve.protocol import QueryAnswer
+
+if TYPE_CHECKING:
+    from repro.compose.mizuno import ComposePlan
+    from repro.compose.predict import BlockSummary
 
 __all__ = ["ServeBusy", "ServeConfig", "TopologyService"]
 
@@ -81,24 +89,41 @@ class ServeConfig:
 
 @dataclass
 class _Shard:
-    """One campaign store plus its cached index entries."""
+    """One campaign store: its warm leaderboard and block summaries."""
 
     store: CampaignStore
-    entries: list[IndexEntry] = field(default_factory=list)
-    stamp: tuple[int, int] | None = None
-    """``(mtime_ns, size)`` of the index file the cache was read from."""
+    cursor: IndexCursor
+    board: Leaderboard = field(default_factory=Leaderboard)
+    summaries: dict[str, BlockSummary] = field(default_factory=dict)
+    """Block summary per block digest; filled by fallback worker threads
+    (one dict store each), never with a block that failed to load."""
 
-    def refresh(self) -> list[IndexEntry]:
-        """Entries, re-read only when the index file changed on disk."""
-        try:
-            stat = self.store.index_path.stat()
-            stamp: tuple[int, int] | None = (stat.st_mtime_ns, stat.st_size)
-        except OSError:
-            stamp = None
-        if stamp != self.stamp:
-            self.entries = self.store.index_entries() if stamp else []
-            self.stamp = stamp
-        return self.entries
+    def refresh(self) -> Leaderboard:
+        """The leaderboard, with the index lines appended since the last
+        refresh folded in (rebuilt when the cursor had to read it all)."""
+        full, entries = self.cursor.read()
+        if full:
+            self.board = Leaderboard()
+        self.board.fold(entries)
+        return self.board
+
+    def block(self, entry: IndexEntry) -> tuple[BestPoint, BlockSummary] | None:
+        """A stored block and its (memoized) summary; ``None`` when the
+        block fails to verify, or its graph to load or measure."""
+        from repro.compose import predict
+        from repro.core.serialization import load_graph
+
+        block = self.store.verify_entry(entry)
+        if block is None:
+            return None
+        summary = self.summaries.get(block.digest)
+        if summary is None:
+            try:
+                summary = predict.summarize_block(load_graph(block.graph_path))
+            except (OSError, ValueError, IndexError):
+                return None  # a corrupt graph fails like a failed verification
+            self.summaries[block.digest] = summary
+        return block, summary
 
 
 class TopologyService:
@@ -120,9 +145,8 @@ class TopologyService:
         names = list(config.campaigns) or self._discover(config.store_root)
         if config.refine_campaign not in names:
             names.append(config.refine_campaign)
-        self._shards = [
-            _Shard(store=CampaignStore(config.store_root, name)) for name in names
-        ]
+        stores = [CampaignStore(config.store_root, name) for name in names]
+        self._shards = [_Shard(store, IndexCursor(store.index_path)) for store in stores]
         self._slots = asyncio.Semaphore(config.max_concurrency)
         self._waiting = 0
         self._inflight: dict[tuple[int, int], asyncio.Future[QueryAnswer]] = {}
@@ -217,9 +241,12 @@ class TopologyService:
 
     async def _answer(self, n: int, r: int) -> QueryAnswer:
         """Resolve one key: index -> compose prediction -> bounds."""
+        from repro.compose.mizuno import plan_composition
+
+        boards = [shard.refresh() for shard in self._shards]
         best: tuple[Any, str] | None = None
-        for shard in self._shards:
-            for entry in best_candidates(shard.refresh(), n, r):
+        for shard, board in zip(self._shards, boards):
+            for entry in board.candidates(n, r):
                 verified = shard.store.verify_entry(entry)
                 if verified is None:
                     continue
@@ -240,41 +267,51 @@ class TopologyService:
                 campaign=campaign,
                 graph_path=str(point.graph_path),
             )
-        return await asyncio.to_thread(self._fallback_answer, n, r)
+        try:
+            plan: ComposePlan | None = plan_composition(
+                n, r, block_hosts=self.config.block_hosts
+            )
+        except ValueError:
+            plan = None
+        blocks: list[tuple[_Shard, list[IndexEntry]]] = []
+        if plan is not None and plan.copies > 1:
+            blocks = [
+                (shard, board.candidates(plan.block_hosts, plan.block_radix))
+                for shard, board in zip(self._shards, boards)
+            ]
+        return await asyncio.to_thread(self._fallback_answer, n, r, plan, blocks)
 
-    def _fallback_answer(self, n: int, r: int) -> QueryAnswer:
-        """Compose-prediction or bounds answer (worker thread; CPU-bound)."""
-        from repro.compose.mizuno import plan_composition
-        from repro.compose.predict import (
-            predict_h_aspl,
-            predict_host_diameter,
-            summarize_block,
-        )
+    def _fallback_answer(
+        self,
+        n: int,
+        r: int,
+        plan: ComposePlan | None,
+        blocks: list[tuple[_Shard, list[IndexEntry]]],
+    ) -> QueryAnswer:
+        """Compose-prediction or bounds answer (worker thread; CPU-bound).
+
+        ``blocks`` holds each shard's best-first candidates for the plan's
+        block, taken on the loop thread.
+        """
+        from repro.compose.predict import predict_h_aspl, predict_host_diameter
         from repro.core.bounds import (
             diameter_lower_bound,
             h_aspl_lower_bound,
             lacin_h_aspl_baseline,
         )
-        from repro.core.serialization import load_graph
 
         bounds = {
             "h_aspl_lower_bound": h_aspl_lower_bound(n, r),
             "diameter_lower_bound": diameter_lower_bound(n, r),
             "lacin_h_aspl_baseline": lacin_h_aspl_baseline(n, r),
         }
-        try:
-            plan = plan_composition(n, r, block_hosts=self.config.block_hosts)
-        except ValueError:
-            plan = None
-        if plan is not None and plan.copies > 1:
-            for shard in self._shards:
-                for entry in best_candidates(
-                    shard.entries, plan.block_hosts, plan.block_radix
-                ):
-                    block = shard.store.verify_entry(entry)
-                    if block is None:
+        if plan is not None:
+            for shard, candidates in blocks:
+                for entry in candidates:
+                    found = shard.block(entry)
+                    if found is None:
                         continue
-                    summary = summarize_block(load_graph(block.graph_path))
+                    block, summary = found
                     return QueryAnswer(
                         n=n,
                         r=r,
@@ -386,4 +423,6 @@ class TopologyService:
                 task.cancel()
             if refines:
                 await asyncio.gather(*refines, return_exceptions=True)
+        for shard in self._shards:
+            shard.cursor.close()
         self.tel.event("serve.stop", **self.counts)

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import random
+import shutil
 import threading
 
 import pytest
@@ -18,7 +19,7 @@ from repro.campaign.index import (
     encode_entry,
 )
 from repro.campaign.spec import load_spec, normalize_point, point_digest
-from repro.campaign.store import CampaignStore, StoreError
+from repro.campaign.store import CampaignStore, IndexCursor, StoreError
 from repro.core.annealing import AnnealingSchedule
 from repro.core.solver import solve_orp
 
@@ -199,7 +200,94 @@ class TestBestForFromIndex:
                     assert indexed.h_aspl == scanned.h_aspl
 
 
+def _rewrite_same_size(store, seen):
+    # Same inode and size, new content; the mtime differs from the one
+    # the cursor saw even on a filesystem with coarse timestamps.
+    [a, b] = store.index_entries()
+    data = encode_entry(dataclasses.replace(a, h_aspl=3.75)) + encode_entry(b)
+    with open(store.index_path, "r+b") as fh:
+        fh.write(data.encode())
+    os.utime(store.index_path, ns=(seen.st_atime_ns, seen.st_mtime_ns + 10**9))
+
+
+def _rewrite_grown(store, seen):
+    # Same inode, larger: one line in front moves the last consumed one.
+    data = encode_entry(IndexEntry("c" * 64, 16, 4, 3.25)).encode()
+    data += store.index_path.read_bytes()
+    with open(store.index_path, "r+b") as fh:
+        fh.write(data)
+
+
+def _recreate_same_stat(store, seen):
+    # Deleted and re-created with the same size and mtime: only the
+    # inode differs, and the open cursor keeps the old one from reuse.
+    [a, b] = store.index_entries()
+    data = encode_entry(dataclasses.replace(a, h_aspl=3.75)) + encode_entry(b)
+    store.index_path.unlink()
+    store.index_path.write_text(data)
+    os.utime(store.index_path, ns=(seen.st_atime_ns, seen.st_mtime_ns))
+
+
+class TestIndexCursor:
+    """The byte cursor reads appended lines only, and re-reads the whole
+    file on each sign that it changed under the cursor."""
+
+    def test_reads_only_appended_complete_lines(self, store, solution):
+        _save(store, solution, seed=0)
+        cursor = IndexCursor(store.index_path)
+        assert cursor.read() == (True, store.index_entries())
+        assert cursor.read() == (False, [])
+        b = _save(store, solution, seed=1, h_aspl=3.5)
+        full, entries = cursor.read()
+        assert (full, [e.digest for e in entries]) == (False, [b])
+        line = encode_entry(IndexEntry("c" * 64, 16, 4, 3.25)).encode()
+        with open(store.index_path, "ab") as fh:
+            fh.write(line[:30])
+        assert cursor.read() == (False, [])  # a torn tail is not consumed
+        with open(store.index_path, "ab") as fh:
+            fh.write(line[30:])
+        assert cursor.read() == (False, [IndexEntry("c" * 64, 16, 4, 3.25)])
+        cursor.close()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda store, seen: store.rebuild_index(),
+            lambda store, seen: os.truncate(store.index_path, seen.st_size // 2),
+            _rewrite_same_size,
+            _rewrite_grown,
+            _recreate_same_stat,
+        ],
+        ids=["replaced", "truncated", "same-size-rewrite", "grown-rewrite", "recreated"],
+    )
+    def test_change_under_the_cursor_reads_it_all(self, store, solution, change):
+        _save(store, solution, seed=0, h_aspl=3.25)
+        _save(store, solution, seed=1, h_aspl=3.5)
+        cursor = IndexCursor(store.index_path)
+        cursor.read()
+        change(store, store.index_path.stat())
+        assert cursor.read() == (True, store.index_entries())
+        assert cursor.read() == (False, [])
+        cursor.close()
+
+    def test_deleted_index_reads_empty_once(self, store, solution):
+        _save(store, solution)
+        cursor = IndexCursor(store.index_path)
+        cursor.read()
+        store.index_path.unlink()
+        assert cursor.read() == (True, [])
+        assert cursor.read() == (False, [])
+        cursor.close()
+
+
 class TestReaderHardening:
+    def test_non_utf8_index_line_is_skipped(self, store, solution):
+        digest = _save(store, solution)
+        with open(store.index_path, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        assert [e.digest for e in store.index_entries()] == [digest]
+        assert store.best_for(16, 4).digest == digest  # used to raise UnicodeDecodeError
+
     def test_digests_hide_tmp_only_debris(self, store, solution):
         digest = _save(store, solution)
         debris = store.point_dir("0" * 64)
@@ -381,34 +469,68 @@ class TestFirstPublishRace:
     TRIALS = 40
 
     def test_index_equals_scan(self, tmp_path, solution):
-        import multiprocessing
-
         spec = load_spec({"name": "idx", "grid": {"n": [16], "r": [4]}})
         roots = []
         for trial in range(self.TRIALS):
             bound = tmp_path / f"bound{trial}"
             CampaignStore(bound, "idx").save_spec(spec)
             roots += [bound, tmp_path / f"bare{trial}"]
-        ctx = multiprocessing.get_context("spawn")
-        barrier = ctx.Barrier(self.WORKERS)
-        results = ctx.Queue()
-        workers = [
-            ctx.Process(
-                target=_publish_first_results,
-                args=(roots, rank, barrier, results, solution),
-            )
-            for rank in range(self.WORKERS)
-        ]
-        for worker in workers:
-            worker.start()
-        errors = [e for _ in workers for e in results.get(timeout=120)]
-        for worker in workers:
-            worker.join(timeout=60)
-        assert [w.exitcode for w in workers] == [0] * self.WORKERS
-        assert errors == []
+        _race_first_publishes(roots, self.WORKERS, solution)
         for root in roots:
             store = CampaignStore(root, "idx")
             assert len(store.index_entries()) == self.WORKERS, root.name
             best = store.best_for(16, 4)
             assert best is not None
             assert best.digest == store.best_for_scan(16, 4).best.digest
+
+
+def _race_first_publishes(roots, workers, solution):
+    """Run ``workers`` spawned writers through ``roots`` at a barrier."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(workers)
+    results = ctx.Queue()
+    procs = [
+        ctx.Process(
+            target=_publish_first_results,
+            args=(roots, rank, barrier, results, solution),
+        )
+        for rank in range(workers)
+    ]
+    for proc in procs:
+        proc.start()
+    errors = [e for _ in procs for e in results.get(timeout=120)]
+    for proc in procs:
+        proc.join(timeout=60)
+    assert [p.exitcode for p in procs] == [0] * workers
+    assert errors == []
+
+
+class TestLegacyMigrationRace:
+    """Concurrent first publishes into legacy stores (points, no index).
+
+    Each writer migrates the store from a full scan.  Publishing the scan
+    with a replace let the last writer win and drop the points published
+    meanwhile; the migration now claims the index atomically and a writer
+    that loses the claim appends its own record.
+    """
+
+    WORKERS = 6
+    STORES = 30
+    POINTS = 30
+
+    def test_index_keeps_every_point(self, tmp_path, solution):
+        template = CampaignStore(tmp_path / "template", "idx")
+        for seed in range(100, 100 + self.POINTS):
+            _save(template, solution, seed=seed, h_aspl=solution.h_aspl + seed)
+        template.index_path.unlink()  # a store from before the index existed
+        roots = [tmp_path / f"legacy{i}" for i in range(self.STORES)]
+        for root in roots:
+            shutil.copytree(template.root, root)
+        _race_first_publishes(roots, self.WORKERS, solution)
+        for root in roots:
+            store = CampaignStore(root, "idx")
+            indexed = {e.digest for e in store.index_entries()}
+            assert indexed == set(store.digests()), root.name
+            assert len(indexed) == self.POINTS + self.WORKERS
