@@ -47,8 +47,8 @@ NAS_ITERATIONS = {"small": 1, "paper": 3}[SCALE]
 
 
 #: BENCH_*.json payload schema: 2 adds the ``meta`` provenance block.
-#: Readers (``repro.obs.regress`` and the legacy ``--check`` gate) accept
-#: both shapes; only the ``benchmarks`` map is load-bearing.
+#: The reader (``repro.obs.regress.load_bench``) accepts both shapes; only
+#: the ``benchmarks`` map is load-bearing.
 BENCH_SCHEMA = 2
 
 

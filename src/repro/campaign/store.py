@@ -49,7 +49,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any
 
 from repro.analysis.resilience import (
     RESILIENCE_RESULT_FORMAT,
@@ -69,6 +69,7 @@ from repro.core.serialization import (
     orp_solution_from_dict,
     orp_solution_to_dict,
 )
+from repro.obs.cursor import LineCursor
 
 __all__ = [
     "BestPoint",
@@ -188,26 +189,15 @@ def _decode_index(data: bytes) -> list[IndexEntry]:
 class IndexCursor:
     """A reader's byte position in one store's ``index.jsonl``.
 
-    :meth:`read` decodes only the complete lines appended since the
-    previous read; it never consumes past the last newline, so a torn tail
-    is read once it is complete.  It reads the whole file again when the
-    file changed under it: a new inode (a rebuild's replace, a delete and
-    re-create), a size below the one it last saw (a truncation), a changed
-    mtime at an unchanged size (a same-size rewrite), or the last consumed
-    line no longer at its offset (a rewrite that grew).  The cursor keeps
-    the file open, which pins its inode: a re-created index cannot reuse
-    the number.  Not thread-safe; :meth:`close` releases the file.
+    A :class:`~repro.obs.cursor.LineCursor` whose :meth:`read` decodes the
+    complete lines appended since the previous read into index entries,
+    and reads the whole index again when it changed under the cursor (see
+    there).  Not thread-safe; :meth:`close` releases the file.
     """
 
     def __init__(self, path: Path) -> None:
         self.path = path
-        self._file: BinaryIO | None = None
-        self._stamp = (0, 0, 0, 0)
-        """``(st_dev, st_ino, st_size, st_mtime_ns)`` at the last read."""
-        self._offset = 0
-        """End of the last complete line consumed."""
-        self._last = b""
-        """That line, newline included."""
+        self._lines = LineCursor(path)
 
     def read(self) -> tuple[bool, list[IndexEntry]]:
         """``(full, entries)`` of the complete lines not consumed yet.
@@ -215,45 +205,12 @@ class IndexCursor:
         ``full`` means the entries are the whole current file and replace
         everything read before; a missing file reads as empty.
         """
-        try:
-            stat: os.stat_result | None = os.stat(self.path)
-        except OSError:
-            stat = None
-        if stat is None or self._file is None or (stat.st_dev, stat.st_ino) != self._stamp[:2]:
-            had_file = self._file is not None
-            self.close()
-            try:
-                self._file = open(self.path, "rb", buffering=0)
-            except OSError:
-                return had_file, []
-            stat = os.fstat(self._file.fileno())
-        elif (stat.st_size, stat.st_mtime_ns) == self._stamp[2:]:
-            return False, []
-        elif stat.st_size > self._stamp[2]:
-            start = self._offset - len(self._last)
-            self._file.seek(start)
-            data = self._file.read(stat.st_size - start)
-            if data.startswith(self._last):
-                return False, self._consume(stat, data[len(self._last) :])
-        self._offset, self._last = 0, b""
-        self._file.seek(0)
-        return True, self._consume(stat, self._file.read(stat.st_size))
+        full, data = self._lines.read()
+        return full, _decode_index(data) if data else []
 
     def close(self) -> None:
         """Release the file; the next read starts over with a full read."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def _consume(self, stat: os.stat_result, data: bytes) -> list[IndexEntry]:
-        """Decode the complete lines of ``data``, the bytes from the offset."""
-        self._stamp = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
-        end = data.rfind(b"\n") + 1
-        if end == 0:
-            return []
-        self._offset += end
-        self._last = data[data.rfind(b"\n", 0, end - 1) + 1 : end]
-        return _decode_index(data[:end])
+        self._lines.close()
 
 
 class CampaignStore:

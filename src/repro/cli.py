@@ -42,8 +42,8 @@ Commands
     Report on, schema-check, span-tree-analyze, or flamegraph-export a
     ``--telemetry-out`` JSONL trace (:mod:`repro.obs.analyze`).
 ``telemetry regress CURRENT --baseline BASELINE``
-    Perf-regression gate over BENCH_*.json runs with an optional rolling
-    perf-history store (:mod:`repro.obs.regress`); exits 1 on regression.
+    Perf-regression gate of one BENCH_*.json run against a committed
+    baseline (:mod:`repro.obs.regress`); exits 1 on regression.
 ``monitor PATH``
     Live terminal dashboard over a growing JSONL trace or a campaign
     store directory (:mod:`repro.obs.progress`); ``--once`` prints a
@@ -288,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine-campaign", default="serve-refine",
                    help="campaign receiving refinement results "
                         "(default: serve-refine)")
-    p.add_argument("--max-concurrency", type=int, default=8,
-                   help="distinct keys answered concurrently (default: 8)")
-    p.add_argument("--max-pending", type=int, default=64,
-                   help="queries allowed to wait before fast rejection "
-                        "(default: 64)")
     p.add_argument("--rebuild-index", action="store_true",
                    help="rebuild every shard's leaderboard index from a "
                         "full scan before serving")
@@ -328,22 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_global_options(tp, subparser=True)
     tp.add_argument("current", help="benchmark JSON of the current run")
-    tp.add_argument("--baseline", default=None,
-                    help="committed baseline JSON (fallback when history is thin)")
+    tp.add_argument("--baseline", required=True,
+                    help="committed baseline JSON")
     tp.add_argument("--names", nargs="*", default=None,
                     help="gated benchmark names (default: all in the baseline)")
     tp.add_argument("--tolerance", type=float, default=1.5,
                     help="fail when current/baseline exceeds this ratio")
-    tp.add_argument("--history", default=None,
-                    help="perf-history store JSON (rolling-median baseline)")
-    tp.add_argument("--window", type=int, default=5,
-                    help="history entries the rolling median looks at")
-    tp.add_argument("--min-history", type=int, default=3,
-                    help="entries required before the median replaces --baseline")
-    tp.add_argument("--record", action="store_true",
-                    help="append the current run to --history when the gate passes")
-    tp.add_argument("--trace", default=None,
-                    help="also gate timer.<name> entries from this JSONL trace")
 
     p = add_command("monitor",
                     help="live dashboard over a trace file or campaign store")
@@ -701,8 +686,6 @@ def _cmd_serve(args, telemetry) -> int:
         refine=not args.no_refine,
         refine_steps=args.refine_steps,
         refine_campaign=args.refine_campaign,
-        max_concurrency=args.max_concurrency,
-        max_pending=args.max_pending,
     )
     if args.rebuild_index:
         from repro.serve.service import TopologyService
@@ -746,7 +729,7 @@ def _cmd_query(args, telemetry) -> int:
     except (OSError, ServerError) as exc:
         _log.error("query failed: %s", exc)
         busy = isinstance(exc, ServerError) and exc.busy
-        return 75 if busy else 1  # EX_TEMPFAIL for back-off-and-retry
+        return 75 if busy else 1  # EX_TEMPFAIL: the server is draining
     if args.json:
         _emit(json.dumps(answer, sort_keys=True))
         return 0
@@ -774,47 +757,16 @@ def _cmd_query(args, telemetry) -> int:
 
 
 def _telemetry_regress(args) -> int:
-    from repro.obs import (
-        PerfHistory,
-        detect_regressions,
-        format_checks,
-        ingest_trace_timers,
-        load_bench,
-    )
+    from repro.obs import detect_regressions, format_checks, load_bench
 
-    current_payload = load_bench(args.current)
-    current = dict(current_payload["benchmarks"])
-    if args.trace:
-        from repro.obs import load_jsonl
-
-        records, _ = load_jsonl(args.trace)
-        current.update(ingest_trace_timers(records))
-    baseline = load_bench(args.baseline)["benchmarks"] if args.baseline else None
-    history = PerfHistory(args.history) if args.history else None
     checks = detect_regressions(
-        current,
-        baseline,
+        load_bench(args.current)["benchmarks"],
+        load_bench(args.baseline)["benchmarks"],
         names=args.names or None,
-        history=history,
         tolerance=args.tolerance,
-        window=args.window,
-        min_history=args.min_history,
     )
     _emit(format_checks(checks, tolerance=args.tolerance))
-    failed = any(c.regressed for c in checks)
-    if history is not None and args.record and not failed:
-        # Only passing runs roll the baseline: a regression must not be
-        # able to launder itself into the history it is judged against.
-        meta = current_payload["meta"]
-        history.record(
-            current,
-            commit=meta.get("git_commit"),
-            timestamp=meta.get("timestamp"),
-            source=str(args.current),
-        )
-        _log.info("recorded run in %s (%d entries)", args.history,
-                  len(history.entries))
-    return 1 if failed else 0
+    return 1 if any(c.regressed for c in checks) else 0
 
 
 def _cmd_telemetry(args, telemetry) -> int:

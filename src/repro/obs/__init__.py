@@ -53,9 +53,7 @@ _LAZY = {
     "ProgressAggregator": "repro.obs.progress",
     "StoreProgress": "repro.obs.progress",
     "monitor": "repro.obs.progress",
-    "PerfHistory": "repro.obs.regress",
     "load_bench": "repro.obs.regress",
-    "ingest_trace_timers": "repro.obs.regress",
     "detect_regressions": "repro.obs.regress",
     "format_checks": "repro.obs.regress",
 }
@@ -101,9 +99,7 @@ __all__ = [
     "ProgressAggregator",
     "StoreProgress",
     "monitor",
-    "PerfHistory",
     "load_bench",
-    "ingest_trace_timers",
     "detect_regressions",
     "format_checks",
 ]

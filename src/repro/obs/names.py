@@ -78,7 +78,6 @@ INSTRUMENTS: frozenset[str] = frozenset(
         "compose.build",
         "compose.done",
         # repro.serve
-        "serve.batched",
         "serve.drain",
         "serve.hit",
         "serve.miss",
@@ -86,7 +85,6 @@ INSTRUMENTS: frozenset[str] = frozenset(
         "serve.refine.done",
         "serve.refine.failed",
         "serve.refine.start",
-        "serve.rejected",
         "serve.request",
         "serve.start",
         "serve.stop",

@@ -3,9 +3,11 @@
 Two complementary sources power ``repro monitor PATH``:
 
 - **JSONL traces** (``--telemetry-out`` files).  :class:`TraceTailer`
-  incrementally reads newly appended lines — tolerating partial writes
-  and detecting truncation when a new run reopens the file — and
-  :class:`ProgressAggregator` folds the records into rolling aggregates:
+  reads newly appended lines through the byte cursor the serve shards
+  use (:class:`repro.obs.cursor.LineCursor`) — a torn last line waits
+  until it is complete, and a trace a new run rewrote in place is read
+  again from the top — and :class:`ProgressAggregator` folds the records
+  into rolling aggregates:
   annealing step/acceptance/proposals-per-second from
   ``anneal.heartbeat``/``anneal.phase``, restart completion and the best
   h-ASPL per ``(n, r)`` from ``solver.progress``, point counts from
@@ -34,6 +36,8 @@ import time
 from pathlib import Path
 from typing import Any, TextIO
 
+from repro.obs.cursor import LineCursor
+
 __all__ = ["TraceTailer", "ProgressAggregator", "StoreProgress", "monitor"]
 
 _CLEAR = "\x1b[2J\x1b[H"
@@ -42,41 +46,30 @@ _CLEAR = "\x1b[2J\x1b[H"
 class TraceTailer:
     """Incremental reader for a growing ``repro.obs/v1`` JSONL file.
 
-    Each :meth:`poll` returns the records appended since the previous
-    call.  A trailing line without a newline is kept as a partial buffer
-    (the writer may be mid-record); a shrinking file means a new run
-    reopened the sink in truncate mode, so the tailer restarts from the
-    top and sets :attr:`truncated`.
+    Each :meth:`poll` returns the records of the complete lines appended
+    since the previous call.  A new run reopens the sink with ``"w"``,
+    which keeps the inode: when the cursor finds the file rewritten under
+    it (shrunk, or grown past the old end with other content), the tailer
+    reads it again from the top and sets :attr:`truncated`.  :meth:`close`
+    releases the file.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.offset = 0
         self.invalid_lines = 0
         self.truncated = False
-        self._partial = ""
+        self._cursor = LineCursor(self.path)
+        self._opened = False
 
     def poll(self) -> list[dict[str, Any]]:
         """Newly appended schema-shaped records (malformed lines counted)."""
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return []
-        if size < self.offset:
-            self.offset = 0
-            self._partial = ""
-            self.truncated = True
-        if size == self.offset:
-            return []
-        with self.path.open("rb") as fh:
-            fh.seek(self.offset)
-            chunk = fh.read()
-            self.offset = fh.tell()
-        text = self._partial + chunk.decode("utf-8", errors="replace")
-        lines = text.split("\n")
-        self._partial = lines.pop()  # "" on a clean trailing newline
+        full, data = self._cursor.read()
+        if full:
+            # The first full read opens the file; any later one restarts it.
+            self.truncated = self.truncated or self._opened
+            self._opened = True
         records: list[dict[str, Any]] = []
-        for line in lines:
+        for line in data.decode("utf-8", errors="replace").split("\n"):
             line = line.strip()
             if not line:
                 continue
@@ -90,6 +83,9 @@ class TraceTailer:
             else:
                 self.invalid_lines += 1
         return records
+
+    def close(self) -> None:
+        self._cursor.close()
 
 
 class ProgressAggregator:
@@ -381,4 +377,7 @@ def monitor(
             time.sleep(interval)
     except KeyboardInterrupt:
         print("", file=out)
+    finally:
+        if tailer is not None:
+            tailer.close()
     return snapshot

@@ -3,10 +3,10 @@
 The paper's deliverable — best-known ``(n, r)`` topologies — served as a
 query API instead of a directory of artifacts:
 
-- :mod:`repro.serve.service` — :class:`TopologyService`, the asyncio
-  engine: warm leaderboard-index shards, compose/bounds fallback for
-  uncovered shapes, single-flight background refinement on miss, request
-  batching and rate limiting;
+- :mod:`repro.serve.service` — :class:`TopologyService`, the engine:
+  warm leaderboard-index shards, compose/bounds fallback for uncovered
+  shapes, and single-flight background refinement on miss.  Every answer
+  is resolved on the event loop; only a refinement solve leaves it;
 - :mod:`repro.serve.server` — the TCP front end (``repro serve``);
 - :mod:`repro.serve.client` — the blocking client (``repro query``);
 - :mod:`repro.serve.protocol` — the JSON-lines wire format.

@@ -24,7 +24,7 @@ class ServerError(RuntimeError):
     def __init__(self, message: str, *, busy: bool = False) -> None:
         super().__init__(message)
         self.busy = busy
-        """True for rate-limit rejections (retry with backoff)."""
+        """True when the server is draining (retry against a restarted one)."""
 
 
 def request(

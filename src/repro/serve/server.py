@@ -11,9 +11,10 @@ Operational niceties for scripts and CI:
 - binding port ``0`` picks an ephemeral port; ``port_file`` publishes the
   bound port atomically-enough for a shell to poll (written after the
   socket is listening, so its existence means "ready");
-- a ``shutdown`` request drains gracefully: in-flight queries finish,
-  background refinements run to completion, then the loop exits — the
-  same path SIGINT takes under the CLI.
+- a ``shutdown`` request drains gracefully: background refinements run
+  to completion, then the loop exits — the same path SIGINT takes under
+  the CLI.  A query that reaches the draining service is answered
+  ``{"ok": false, "busy": true}``.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class TopologyServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.service.aclose(drain=True)
+        await self.service.aclose()
 
     # ------------------------------------------------------ connections --
 

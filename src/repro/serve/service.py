@@ -1,4 +1,4 @@
-"""Topology-as-a-service: async query answering over warm store shards.
+"""Topology-as-a-service: query answering over warm store shards.
 
 :class:`TopologyService` is the engine behind ``repro serve`` — it turns a
 campaign store root (each campaign directory is one *shard*) into a
@@ -26,14 +26,11 @@ query backend for "best known topology for ``(n, r)``":
   misses on one key share one refinement, and a completed refinement is
   an index hit on the next query.
 
-Concurrency model: everything except the fallback answers and the solver
-runs on the event loop — one thread, no locks.  The leaderboards change in
-place, so the loop thread takes the candidate lists before handing a
-fallback answer to a worker thread.  Concurrent queries for the same
-``(n, r)`` are *batched* behind one shared future; distinct keys run under
-a semaphore (``max_concurrency``); queries beyond ``max_pending`` waiting
-are rejected fast (:class:`ServeBusy`) instead of queueing unboundedly.
-Refinement solves run in ``asyncio.to_thread`` with a private telemetry
+Concurrency model: one thread.  :meth:`TopologyService.query` resolves
+its answer in one synchronous call that never suspends, so queries run
+one after another on the event loop, and only the loop thread touches the
+shards, their leaderboards and the block memo.  The one thread hop is the
+refinement solve, run in ``asyncio.to_thread`` with a private telemetry
 registry merged back on completion (JSONL sinks are not thread-safe).
 """
 
@@ -52,14 +49,17 @@ from repro.obs import clock as obs_clock
 from repro.serve.protocol import QueryAnswer
 
 if TYPE_CHECKING:
-    from repro.compose.mizuno import ComposePlan
     from repro.compose.predict import BlockSummary
 
 __all__ = ["ServeBusy", "ServeConfig", "TopologyService"]
 
+#: Restarts and seed of every background refinement solve.
+_REFINE_RESTARTS = 1
+_REFINE_SEED = 0
+
 
 class ServeBusy(RuntimeError):
-    """Too many queries waiting; the caller should back off and retry."""
+    """The service is draining; the caller should retry against a new server."""
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,9 @@ class ServeConfig:
     refine: bool = True
     """Kick off a background solve on cache miss."""
     refine_steps: int = 2_000
-    refine_restarts: int = 1
-    refine_seed: int = 0
     refine_campaign: str = "serve-refine"
     """Shard receiving refinement results (created on first refinement;
     also queried, so refined answers become index hits)."""
-    max_concurrency: int = 8
-    """Distinct keys answered concurrently (semaphore width)."""
-    max_pending: int = 64
-    """Queries allowed to wait for a slot before fast rejection."""
 
 
 @dataclass
@@ -95,8 +89,8 @@ class _Shard:
     cursor: IndexCursor
     board: Leaderboard = field(default_factory=Leaderboard)
     summaries: dict[str, BlockSummary] = field(default_factory=dict)
-    """Block summary per block digest; filled by fallback worker threads
-    (one dict store each), never with a block that failed to load."""
+    """Block summary per block digest; never holds a block that failed to
+    load."""
 
     def refresh(self) -> Leaderboard:
         """The leaderboard, with the index lines appended since the last
@@ -147,19 +141,10 @@ class TopologyService:
             names.append(config.refine_campaign)
         stores = [CampaignStore(config.store_root, name) for name in names]
         self._shards = [_Shard(store, IndexCursor(store.index_path)) for store in stores]
-        self._slots = asyncio.Semaphore(config.max_concurrency)
-        self._waiting = 0
-        self._inflight: dict[tuple[int, int], asyncio.Future[QueryAnswer]] = {}
         self._refining: dict[tuple[int, int], asyncio.Task[None]] = {}
+        """Running refinement per key; a task removes itself when it ends."""
         self._closing = False
-        self.counts = {
-            "queries": 0,
-            "hits": 0,
-            "misses": 0,
-            "batched": 0,
-            "rejected": 0,
-            "refinements": 0,
-        }
+        self.counts = {"queries": 0, "hits": 0, "misses": 0, "refinements": 0}
 
     @staticmethod
     def _discover(root: Path) -> list[str]:
@@ -176,58 +161,18 @@ class TopologyService:
     # ------------------------------------------------------------ query --
 
     async def query(self, n: int, r: int) -> QueryAnswer:
-        """Answer one query; batches, rate-limits, and triggers refinement.
+        """Answer one query and start a refinement on a miss.
 
-        Raises :class:`ServeBusy` when ``max_pending`` queries are already
-        waiting, and :class:`ValueError` for infeasible shapes (``r < 3``).
+        A coroutine for its callers' sake only: the answer is resolved
+        without suspending.  Raises :class:`ServeBusy` once the service is
+        draining, and :class:`ValueError` for infeasible shapes (``r < 3``).
         """
         if self._closing:
             raise ServeBusy("service is draining")
-        key = (n, r)
         self.counts["queries"] += 1
         self.tel.event("serve.request", n=n, r=r)
-        shared = self._inflight.get(key)
-        if shared is not None:
-            # Same-key queries share one in-flight answer; shield so one
-            # cancelled waiter does not cancel the computation for all.
-            self.counts["batched"] += 1
-            self.tel.event("serve.batched", n=n, r=r)
-            return await asyncio.shield(shared)
-        if self._waiting >= self.config.max_pending:
-            self.counts["rejected"] += 1
-            self.tel.event("serve.rejected", n=n, r=r, waiting=self._waiting)
-            raise ServeBusy(
-                f"{self._waiting} queries already waiting (max_pending="
-                f"{self.config.max_pending})"
-            )
-        future: asyncio.Future[QueryAnswer] = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        self._waiting += 1
-        acquired = False
         t0 = obs_clock()
-        try:
-            await self._slots.acquire()
-            acquired = True
-            self._waiting -= 1
-            answer = await self._answer(n, r)
-            future.set_result(answer)
-        except BaseException as exc:
-            if not acquired:
-                self._waiting -= 1
-            if not future.done():
-                if isinstance(exc, Exception):
-                    future.set_exception(exc)
-                    # Mark retrieved so an un-awaited shared future does
-                    # not warn on teardown when no one batched onto it.
-                    future.exception()
-                else:
-                    future.cancel()
-            raise
-        finally:
-            if acquired:
-                self._slots.release()
-            if self._inflight.get(key) is future:
-                del self._inflight[key]
+        answer = self._answer(n, r)
         self.tel.timer("serve.query_s").observe(obs_clock() - t0)
         if answer.source == "index":
             self.counts["hits"] += 1
@@ -235,13 +180,18 @@ class TopologyService:
         else:
             self.counts["misses"] += 1
             self.tel.event("serve.miss", n=n, r=r, source=answer.source)
-            refine = self._start_refine(n, r)
-            answer = dataclasses.replace(answer, refine=refine)
+            answer = dataclasses.replace(answer, refine=self._start_refine(n, r))
         return answer
 
-    async def _answer(self, n: int, r: int) -> QueryAnswer:
+    def _answer(self, n: int, r: int) -> QueryAnswer:
         """Resolve one key: index -> compose prediction -> bounds."""
         from repro.compose.mizuno import plan_composition
+        from repro.compose.predict import predict_h_aspl, predict_host_diameter
+        from repro.core.bounds import (
+            diameter_lower_bound,
+            h_aspl_lower_bound,
+            lacin_h_aspl_baseline,
+        )
 
         boards = [shard.refresh() for shard in self._shards]
         best: tuple[Any, str] | None = None
@@ -267,47 +217,18 @@ class TopologyService:
                 campaign=campaign,
                 graph_path=str(point.graph_path),
             )
-        try:
-            plan: ComposePlan | None = plan_composition(
-                n, r, block_hosts=self.config.block_hosts
-            )
-        except ValueError:
-            plan = None
-        blocks: list[tuple[_Shard, list[IndexEntry]]] = []
-        if plan is not None and plan.copies > 1:
-            blocks = [
-                (shard, board.candidates(plan.block_hosts, plan.block_radix))
-                for shard, board in zip(self._shards, boards)
-            ]
-        return await asyncio.to_thread(self._fallback_answer, n, r, plan, blocks)
-
-    def _fallback_answer(
-        self,
-        n: int,
-        r: int,
-        plan: ComposePlan | None,
-        blocks: list[tuple[_Shard, list[IndexEntry]]],
-    ) -> QueryAnswer:
-        """Compose-prediction or bounds answer (worker thread; CPU-bound).
-
-        ``blocks`` holds each shard's best-first candidates for the plan's
-        block, taken on the loop thread.
-        """
-        from repro.compose.predict import predict_h_aspl, predict_host_diameter
-        from repro.core.bounds import (
-            diameter_lower_bound,
-            h_aspl_lower_bound,
-            lacin_h_aspl_baseline,
-        )
-
         bounds = {
             "h_aspl_lower_bound": h_aspl_lower_bound(n, r),
             "diameter_lower_bound": diameter_lower_bound(n, r),
             "lacin_h_aspl_baseline": lacin_h_aspl_baseline(n, r),
         }
-        if plan is not None:
-            for shard, candidates in blocks:
-                for entry in candidates:
+        try:
+            plan = plan_composition(n, r, block_hosts=self.config.block_hosts)
+        except ValueError:
+            return QueryAnswer(n=n, r=r, source="bounds", **bounds)
+        if plan.copies > 1:
+            for shard, board in zip(self._shards, boards):
+                for entry in board.candidates(plan.block_hosts, plan.block_radix):
                     found = shard.block(entry)
                     if found is None:
                         continue
@@ -340,8 +261,7 @@ class TopologyService:
         if not self.config.refine or self._closing:
             return "disabled"
         key = (n, r)
-        task = self._refining.get(key)
-        if task is not None and not task.done():
+        if key in self._refining:
             return "in-flight"
         self.counts["refinements"] += 1
         self.tel.event("serve.refine.start", n=n, r=r)
@@ -359,6 +279,8 @@ class TopologyService:
                 "serve.refine.failed", n=n, r=r, error=f"{type(exc).__name__}: {exc}"
             )
             return
+        finally:
+            del self._refining[(n, r)]
         if snapshot is not None:
             # Solver telemetry was collected in a private registry on the
             # worker thread (sinks are not thread-safe); fold it in from
@@ -384,8 +306,8 @@ class TopologyService:
             use_best=False,
             telemetry=worker_tel,
             steps=cfg.refine_steps,
-            restarts=cfg.refine_restarts,
-            seed=cfg.refine_seed,
+            restarts=_REFINE_RESTARTS,
+            seed=_REFINE_SEED,
         )
         snapshot = worker_tel.snapshot() if worker_tel is not None else None
         return block.h_aspl, snapshot
@@ -393,36 +315,16 @@ class TopologyService:
     # ------------------------------------------------------------ stats --
 
     def stats(self) -> dict[str, Any]:
-        return {
-            **self.counts,
-            "shards": self.shard_names,
-            "in_flight": len(self._inflight),
-            "refining": sum(1 for t in self._refining.values() if not t.done()),
-            "waiting": self._waiting,
-        }
+        return {**self.counts, "shards": self.shard_names, "refining": len(self._refining)}
 
     # ------------------------------------------------------------ close --
 
-    async def aclose(self, *, drain: bool = True) -> None:
-        """Stop accepting work; optionally await in-flight work first."""
+    async def aclose(self) -> None:
+        """Stop accepting queries; let running refinements finish."""
         self._closing = True
-        self.tel.event(
-            "serve.drain",
-            in_flight=len(self._inflight),
-            refining=sum(1 for t in self._refining.values() if not t.done()),
-        )
-        pending = [f for f in self._inflight.values() if not f.done()]
-        refines = [t for t in self._refining.values() if not t.done()]
-        if drain:
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            if refines:
-                await asyncio.gather(*refines, return_exceptions=True)
-        else:
-            for task in refines:
-                task.cancel()
-            if refines:
-                await asyncio.gather(*refines, return_exceptions=True)
+        self.tel.event("serve.drain", refining=len(self._refining))
+        if self._refining:
+            await asyncio.gather(*self._refining.values(), return_exceptions=True)
         for shard in self._shards:
             shard.cursor.close()
         self.tel.event("serve.stop", **self.counts)

@@ -18,8 +18,8 @@ Checking is controlled by the ``REPRO_CONTRACTS`` environment variable:
 - ``REPRO_CONTRACTS=0`` (also ``false``/``off``/``no``) — disabled; the
   wrappers reduce to a single flag check per call.
 - ``REPRO_CONTRACTS=1`` (default, unset) — enabled; ``graph_invariant``
-  spot-checks the switches the mutation touched (O(1) per call when the
-  decorator was given a ``touched`` extractor, O(m) otherwise).
+  checks the port budgets of the switches the mutation touched (O(1) per
+  call).
 - ``REPRO_CONTRACTS=full`` (also ``2``/``all``) — ``graph_invariant`` runs
   the full O(m + E + n) :meth:`HostSwitchGraph.validate` after every
   mutation.  Intended for tests and debugging, not for annealing runs.
@@ -143,31 +143,6 @@ def ensures(predicate: Callable[[Any], bool], message: str = "") -> Callable[[F]
     return decorate
 
 
-def _spot_check(graph: Any) -> None:
-    """O(m) structural spot check for a HostSwitchGraph-like object.
-
-    Verifies per-switch port budgets and host-count conservation without
-    touching the edge lists (which the full ``validate()`` does).
-    """
-    radix = graph.radix
-    total_hosts = 0
-    for s in range(graph.num_switches):
-        hosts = graph.hosts_on(s)
-        if hosts < 0:
-            raise ContractViolation(f"switch {s} has negative host count {hosts}")
-        used = graph.ports_used(s)
-        if used > radix:
-            raise ContractViolation(
-                f"switch {s} uses {used} ports but the radix is {radix}"
-            )
-        total_hosts += hosts
-    if total_hosts != graph.num_hosts:
-        raise ContractViolation(
-            f"per-switch host counts sum to {total_hosts}, "
-            f"but {graph.num_hosts} hosts are attached"
-        )
-
-
 def _check_switches(graph: Any, switches: Any) -> None:
     """O(len(switches)) port-budget check for the touched switches."""
     radix = graph.radix
@@ -183,25 +158,19 @@ def _check_switches(graph: Any, switches: Any) -> None:
             )
 
 
-def graph_invariant(
-    method: F | None = None,
-    *,
-    touched: Callable[..., Any] | None = None,
-) -> Any:
+def graph_invariant(*, touched: Callable[..., Any]) -> Callable[[F], F]:
     """Invariant decorator for ``HostSwitchGraph`` mutation methods.
 
     After the wrapped method returns, re-checks the graph's structural
-    invariants at the current contract level: nothing at ``"off"``, a
-    spot check at ``"on"``, the full :meth:`validate` at ``"full"``.
-    Failures raise :class:`ContractViolation` chained to the underlying
-    error.
+    invariants at the current contract level: nothing at ``"off"``, the
+    port budgets of the touched switches at ``"on"``, the full
+    :meth:`validate` at ``"full"``.  Failures raise
+    :class:`ContractViolation` chained to the underlying error.
 
-    ``touched`` makes the ``"on"`` check O(1) for hot mutation paths: it
-    is called as ``touched(self, result, *args, **kwargs)`` and returns
-    the switch ids whose port budgets the mutation could have changed.
-    Without it, the ``"on"`` level falls back to an O(m) whole-graph spot
-    check.  Usable bare (``@graph_invariant``) or parameterised
-    (``@graph_invariant(touched=...)``).
+    ``touched`` is called as ``touched(self, result, *args, **kwargs)`` and
+    returns the switch ids whose port budgets the mutation could have
+    changed, which keeps the ``"on"`` check O(1) on hot mutation paths.
+    The level is looked up on every call (:func:`contracts_level`).
     """
 
     def decorate(fn: F) -> F:
@@ -217,14 +186,9 @@ def graph_invariant(
                         f"graph invariant broken after {fn.__name__}: {exc}"
                     ) from exc
             elif level == "on":
-                if touched is None:
-                    _spot_check(self)
-                else:
-                    _check_switches(self, touched(self, result, *args, **kwargs))
+                _check_switches(self, touched(self, result, *args, **kwargs))
             return result
 
         return wrapper  # type: ignore[return-value]
 
-    if method is not None:
-        return decorate(method)
     return decorate

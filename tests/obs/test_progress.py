@@ -9,6 +9,7 @@ import pytest
 
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import load_spec
+from repro.obs import JsonlSink
 from repro.obs.progress import ProgressAggregator, StoreProgress, TraceTailer, monitor
 
 
@@ -51,6 +52,8 @@ class TestTraceTailer:
         assert tailer.poll() == []  # nothing new appended
         write_lines(trace, [json.dumps(event("solver.done"))])
         assert [r["name"] for r in tailer.poll()] == ["solver.done"]
+        assert not tailer.truncated
+        tailer.close()
 
     def test_partial_line_buffered_until_complete(self, tmp_path):
         trace = tmp_path / "run.jsonl"
@@ -63,6 +66,7 @@ class TestTraceTailer:
             fh.write(record[10:] + "\n")
         (rec,) = tailer.poll()
         assert rec["fields"]["step"] == 5
+        tailer.close()
 
     def test_truncation_resets_to_start(self, tmp_path):
         trace = tmp_path / "run.jsonl"
@@ -73,6 +77,29 @@ class TestTraceTailer:
         records = tailer.poll()
         assert tailer.truncated
         assert [r["name"] for r in records] == ["anneal.phase"]
+        tailer.close()
+
+    def test_rewrite_grown_past_the_old_end_reads_from_the_top(self, tmp_path):
+        # A new run reopens the sink with "w" (same inode) and writes past
+        # the old end between two polls: no shrink is ever seen.
+        trace = tmp_path / "run.jsonl"
+
+        def run(name, steps):
+            sink = JsonlSink(trace)
+            for step in range(steps):
+                sink.write(event(name, step=step))
+            sink.close()
+
+        run("solver.restart", 3)
+        tailer = TraceTailer(trace)
+        assert [r["fields"]["step"] for r in tailer.poll()] == [0, 1, 2]
+        run("anneal.heartbeat", 6)
+        records = tailer.poll()
+        assert [r["fields"]["step"] for r in records] == [0, 1, 2, 3, 4, 5]
+        assert {r["name"] for r in records} == {"anneal.heartbeat"}
+        assert tailer.truncated
+        assert tailer.invalid_lines == 0
+        tailer.close()
 
     def test_malformed_lines_counted_not_raised(self, tmp_path):
         trace = tmp_path / "run.jsonl"
@@ -80,10 +107,15 @@ class TestTraceTailer:
         tailer = TraceTailer(trace)
         assert len(tailer.poll()) == 1
         assert tailer.invalid_lines == 2
+        tailer.close()
 
     def test_missing_file_polls_empty(self, tmp_path):
         tailer = TraceTailer(tmp_path / "absent.jsonl")
         assert tailer.poll() == []
+        write_lines(tmp_path / "absent.jsonl", [json.dumps(event("x"))])
+        assert len(tailer.poll()) == 1
+        assert not tailer.truncated  # the trace appeared; nothing restarted
+        tailer.close()
 
 
 class TestProgressAggregator:

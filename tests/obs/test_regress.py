@@ -1,4 +1,4 @@
-"""Perf-history store, rolling baselines, and the regression gate."""
+"""Benchmark payload loading and the baseline-file regression gate."""
 
 from __future__ import annotations
 
@@ -7,14 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.regress import (
-    PERF_HISTORY_FORMAT,
-    PerfHistory,
-    detect_regressions,
-    format_checks,
-    ingest_trace_timers,
-    load_bench,
-)
+from repro.obs.regress import detect_regressions, format_checks, load_bench
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -51,52 +44,6 @@ class TestLoadBench:
             load_bench(path)
 
 
-class TestIngestTraceTimers:
-    def test_last_cumulative_flush_wins(self):
-        records = [
-            {"kind": "timer", "name": "kernel.bfs_s", "count": 5, "total_s": 0.5},
-            {"kind": "timer", "name": "kernel.bfs_s", "count": 10, "total_s": 2.0},
-            {"kind": "event", "name": "solver.done"},
-        ]
-        assert ingest_trace_timers(records) == {"timer.kernel.bfs_s": 0.2}
-
-    def test_zero_count_timers_skipped(self):
-        records = [{"kind": "timer", "name": "idle", "count": 0, "total_s": 0.0}]
-        assert ingest_trace_timers(records) == {}
-
-
-class TestPerfHistory:
-    def test_record_persist_reload(self, tmp_path):
-        path = tmp_path / "history.json"
-        hist = PerfHistory(path)
-        hist.record({"bench_x": 1.0}, commit="c1", timestamp="t1", source="ci")
-        hist.record({"bench_x": 1.2}, commit="c2", timestamp="t2", source="ci")
-        payload = json.loads(path.read_text())
-        assert payload["format"] == PERF_HISTORY_FORMAT
-        reloaded = PerfHistory(path)
-        assert reloaded.recent("bench_x") == [1.0, 1.2]
-        assert reloaded.entries[0]["commit"] == "c1"
-
-    def test_recent_windows_and_missing_names(self, tmp_path):
-        hist = PerfHistory(tmp_path / "h.json")
-        for i in range(8):
-            hist.record({"bench_x": float(i)})
-        assert hist.recent("bench_x", window=3) == [5.0, 6.0, 7.0]
-        assert hist.recent("bench_y") == []
-
-    def test_max_entries_prunes_oldest(self, tmp_path):
-        hist = PerfHistory(tmp_path / "h.json")
-        for i in range(5):
-            hist.record({"bench_x": float(i)}, max_entries=3)
-        assert hist.recent("bench_x", window=10) == [2.0, 3.0, 4.0]
-
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "h.json"
-        path.write_text('{"format": "something-else/v9", "entries": []}')
-        with pytest.raises(ValueError, match="format"):
-            PerfHistory(path)
-
-
 class TestDetectRegressions:
     def test_synthetic_2x_slowdown_flagged_vs_real_baseline(self):
         """Acceptance: a 2x slowdown against BENCH_pr7.json must FAIL."""
@@ -117,39 +64,13 @@ class TestDetectRegressions:
         assert not any(c.regressed for c in checks)
         assert "0/" in format_checks(checks)
 
-    def test_history_median_beats_baseline_file(self, tmp_path):
-        # Three history entries with one noisy outlier: median 1.0 holds
-        # the bar even though the committed baseline (10.0) is loose.
-        hist = PerfHistory(tmp_path / "h.json")
-        for v in (1.0, 1.0, 5.0):
-            hist.record({"bench_x": v})
-        (check,) = detect_regressions(
-            {"bench_x": 1.4}, {"bench_x": 10.0}, names=["bench_x"], history=hist
-        )
-        assert check.source == "history-median(3)"
-        assert check.baseline_s == 1.0
-        assert not check.regressed
-        (slow,) = detect_regressions(
-            {"bench_x": 2.0}, {"bench_x": 10.0}, names=["bench_x"], history=hist
-        )
-        assert slow.regressed  # 2.0x the median, over the 1.5x bar
-
-    def test_thin_history_falls_back_to_baseline_file(self, tmp_path):
-        hist = PerfHistory(tmp_path / "h.json")
-        hist.record({"bench_x": 1.0})  # only one entry < min_history
-        (check,) = detect_regressions(
-            {"bench_x": 1.2}, {"bench_x": 1.0}, names=["bench_x"], history=hist
-        )
-        assert check.source == "baseline-file"
-        assert not check.regressed
-
     def test_missing_name_is_a_failure(self):
         (check,) = detect_regressions({}, {"bench_x": 1.0}, names=["bench_x"])
-        assert check.regressed and check.source == "missing"
+        assert check.regressed and check.ratio is None
         assert "missing from current run" in format_checks([check])
-        (check,) = detect_regressions({"bench_x": 1.0}, None, names=["bench_x"])
-        assert check.regressed and check.source == "missing"
-        assert "missing from baseline and history" in format_checks([check])
+        (check,) = detect_regressions({"bench_x": 1.0}, {}, names=["bench_x"])
+        assert check.regressed and check.ratio is None
+        assert "missing from baseline FAIL" in format_checks([check])
 
     def test_names_default_to_baseline_keys(self):
         checks = detect_regressions({"a": 1.0, "b": 1.0}, {"a": 1.0})

@@ -149,8 +149,8 @@ class TestServerEndToEnd:
         answers, stats = asyncio.run(run())
         assert all(a["source"] == "bounds" for a in answers)
         assert stats["refinements"] == 1  # single-flight across connections
-        # Only the leader of a batched miss stamps the refine disposition;
-        # waiters share the pre-refine answer object.
+        # Queries are answered one at a time on the loop: the first miss
+        # starts the refinement, the later ones find it in flight.
         started = [a.get("refine") for a in answers].count("started")
         assert started == 1
         refined = CampaignStore(seeded_root, f"refine-{tmp_path.name}").best_for(
@@ -185,35 +185,18 @@ class TestServerEndToEnd:
         assert poisoned["source"] in ("bounds", "compose-predicted")
 
     def test_busy_rejection_reaches_client(self, seeded_root):
-        server = _server(
-            seeded_root, refine=False, max_concurrency=1, max_pending=1
-        )
+        server = _server(seeded_root, refine=False)
 
         async def run():
             await server.start()
             port = server.bound_port
-            gate = asyncio.Event()
-            service = server.service
-            real_answer = service._answer
-
-            async def gated_answer(n, r):
-                await gate.wait()
-                return await real_answer(n, r)
-
-            service._answer = gated_answer
-            # First query holds the only slot; second waits (fills
-            # max_pending); third must be rejected with busy=True.
-            first = asyncio.create_task(_call(client.query, "127.0.0.1", port, 16, 4))
-            while not service.stats()["in_flight"]:
-                await asyncio.sleep(0.01)
-            second = asyncio.create_task(_call(client.query, "127.0.0.1", port, 20, 4))
-            while not service.stats()["waiting"]:
-                await asyncio.sleep(0.01)
-            with pytest.raises(client.ServerError) as excinfo:
-                await _call(client.query, "127.0.0.1", port, 24, 4)
+            assert (await _call(client.query, "127.0.0.1", port, 16, 4))["source"] == "index"
+            # The listener still accepts while the service drains; a query
+            # that reaches the draining service is rejected with busy=True.
+            await server.service.aclose()
+            with pytest.raises(client.ServerError, match="draining") as excinfo:
+                await _call(client.query, "127.0.0.1", port, 16, 4)
             assert excinfo.value.busy
-            gate.set()
-            await asyncio.gather(first, second)
             await server.aclose()
 
         asyncio.run(run())

@@ -1,4 +1,4 @@
-"""TopologyService: hits, fallbacks, single-flight, batching, rate limits.
+"""TopologyService: hits, fallbacks, single-flight refinement, drain.
 
 The environment ships no async test plugin, so every test is a sync
 function driving its coroutine through ``asyncio.run`` — which also
@@ -43,7 +43,6 @@ def _config(root, **overrides):
         store_root=root,
         campaigns=("seed",),
         refine_steps=50,
-        refine_restarts=1,
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)
@@ -322,7 +321,7 @@ class TestRefinement:
         async def run():
             first = await service.query(12, 4)
             second = await service.query(12, 4)  # refine still in flight
-            await service.aclose(drain=True)
+            await service.aclose()
             return first, second
 
         first, second = asyncio.run(run())
@@ -377,63 +376,47 @@ class TestRefinement:
 
 
 class TestConcurrencyControl:
-    def test_same_key_queries_batch_onto_one_answer(self, seeded_root):
+    def test_only_refinement_leaves_the_loop(self, seeded_root, tmp_path, monkeypatch):
+        # Index, compose and bounds answers resolve on the loop thread, as
+        # do concurrent same-key queries; a refinement solve is the one
+        # call handed to a worker thread.
+        import repro.serve.service as service_module
+
         root, block = seeded_root
-        tel = TelemetryRegistry("t")
-        service = TopologyService(_config(root), telemetry=tel)
-        calls = 0
-        real_answer = service._answer
+        composed = resolve_block(16, 5, store=CampaignStore(root, "seed"), steps=60)
+        hops = []
+        real_to_thread = service_module.asyncio.to_thread
 
-        async def slow_answer(n, r):
-            nonlocal calls
-            calls += 1
-            await asyncio.sleep(0.05)
-            return await real_answer(n, r)
+        def spy(func, *args, **kwargs):
+            hops.append(func.__name__)
+            return real_to_thread(func, *args, **kwargs)
 
-        service._answer = slow_answer
+        monkeypatch.setattr(service_module.asyncio, "to_thread", spy)
 
-        async def run():
-            answers = await asyncio.gather(
-                service.query(16, 4), service.query(16, 4), service.query(16, 4)
-            )
+        async def run(service, keys):
+            answers = [
+                await asyncio.gather(*(service.query(n, r) for _ in range(3)))
+                for n, r in keys
+            ]
             await service.aclose()
             return answers
 
-        answers = asyncio.run(run())
-        assert calls == 1
-        assert {a.digest for a in answers} == {block.digest}
-        assert service.counts["batched"] == 2
-        assert len(_events(tel, "serve.batched")) == 2
-
-    def test_overload_rejects_fast(self, seeded_root):
-        root, _ = seeded_root
-        tel = TelemetryRegistry("t")
-        service = TopologyService(
-            _config(root, refine=False, max_concurrency=1, max_pending=1),
-            telemetry=tel,
+        config = _config(
+            root, block_hosts=16, refine=False, refine_campaign=f"refine-{tmp_path.name}"
         )
-        async def run():
-            gate = asyncio.Event()
-            real_answer = service._answer
+        keys = [(16, 4), (32, 6), (12, 4)]
+        answers = asyncio.run(run(TopologyService(config), keys))
+        assert hops == []
+        assert [[a.source for a in same] for same in answers] == [
+            ["index"] * 3, ["compose-predicted"] * 3, ["bounds"] * 3
+        ]
+        assert all(a == same[0] for same in answers for a in same)
+        assert (answers[0][0].digest, answers[1][0].digest) == (block.digest, composed.digest)
 
-            async def gated_answer(n, r):
-                await gate.wait()
-                return await real_answer(n, r)
-
-            service._answer = gated_answer
-            first = asyncio.create_task(service.query(16, 4))
-            await asyncio.sleep(0.01)  # first holds the slot
-            second = asyncio.create_task(service.query(20, 4))
-            await asyncio.sleep(0.01)  # second waits (1 >= max_pending)
-            with pytest.raises(ServeBusy):
-                await service.query(24, 4)
-            gate.set()
-            await asyncio.gather(first, second)
-            await service.aclose()
-
-        asyncio.run(run())
-        assert service.counts["rejected"] == 1
-        assert len(_events(tel, "serve.rejected")) == 1
+        refining = TopologyService(dataclasses.replace(config, refine=True))
+        (herd,) = asyncio.run(run(refining, [(12, 4)]))
+        assert [a.refine for a in herd] == ["started", "in-flight", "in-flight"]
+        assert hops == ["_refine_solve"]
 
     def test_drain_waits_for_inflight_refinement(self, seeded_root, tmp_path):
         root, _ = seeded_root
@@ -444,7 +427,7 @@ class TestConcurrencyControl:
         async def run():
             await service.query(12, 4)  # miss: refinement starts
             assert service.stats()["refining"] == 1
-            await service.aclose(drain=True)
+            await service.aclose()
             assert service.stats()["refining"] == 0
             with pytest.raises(ServeBusy, match="draining"):
                 await service.query(16, 4)
@@ -467,7 +450,7 @@ class TestConcurrencyControl:
         async def run():
             await service.query(16, 4)
             await service.query(12, 4)
-            await service.aclose(drain=True)
+            await service.aclose()
 
         asyncio.run(run())
         served = {

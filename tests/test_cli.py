@@ -318,25 +318,6 @@ class TestTelemetryRegress:
         out = capsys.readouterr().out
         assert "FAIL" in out and "2.00x" in out
 
-    def test_record_rolls_history_only_on_pass(self, capsys, tmp_path):
-        import json
-
-        current, slow = tmp_path / "cur.json", tmp_path / "slow.json"
-        baseline = tmp_path / "base.json"
-        history = tmp_path / "history.json"
-        self._write_bench(current, {"bench_x": 1.0})
-        self._write_bench(slow, {"bench_x": 9.0})
-        self._write_bench(baseline, {"bench_x": 1.0})
-        assert main(["telemetry", "regress", str(current),
-                     "--baseline", str(baseline),
-                     "--history", str(history), "--record"]) == 0
-        assert len(json.loads(history.read_text())["entries"]) == 1
-        # A failing run must not launder itself into the rolling baseline.
-        assert main(["telemetry", "regress", str(slow),
-                     "--baseline", str(baseline),
-                     "--history", str(history), "--record"]) == 1
-        assert len(json.loads(history.read_text())["entries"]) == 1
-
 
 class TestMonitorCommand:
     def test_once_on_trace_file(self, capsys, tmp_path):
