@@ -13,12 +13,21 @@ Provides:
   2-neighbor-swing annealer (Section 5.2).
 - :func:`fill_hosts_sequentially` / :func:`fill_hosts_dfs` — the two host
   attachment orders of Section 6.2.1 used when sizing networks to exactly
-  ``n`` hosts.
+  ``n`` hosts, plus :func:`fill_hosts_round_robin` and
+  :func:`spread_hosts_evenly`.
+
+Host placement is separate from graph building: each placement helper maps
+per-switch free-port counts to an attachment list (host ``h`` goes to
+switch ``hosts[h]``) and mutates nothing.  Builders whose edge list is
+known up front (star, clique, regular) hand edges and attachments to one
+:meth:`HostSwitchGraph.from_edges` call; :func:`random_host_switch_graph`
+picks each edge by looking at the graph built so far, so it keeps the
+mutators and attaches the list one host at a time.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -35,6 +44,7 @@ __all__ = [
     "random_regular_switch_topology",
     "random_host_switch_graph",
     "fill_hosts_sequentially",
+    "fill_hosts_round_robin",
     "fill_hosts_dfs",
     "spread_hosts_evenly",
 ]
@@ -46,11 +56,7 @@ def star_host_switch_graph(n: int, r: int) -> HostSwitchGraph:
     check_positive_int(r, "r")
     if n > r:
         raise ValueError(f"star graph needs n <= r, got n={n}, r={r}")
-    g = HostSwitchGraph(num_switches=1, radix=r)
-    for _ in range(n):
-        g.attach_host(0)
-    g.validate()
-    return g
+    return HostSwitchGraph.from_edges(1, r, [], [0] * n)
 
 
 def minimum_clique_switch_count(n: int, r: int) -> int:
@@ -83,42 +89,15 @@ def clique_host_switch_graph(n: int, r: int, m: int | None = None) -> HostSwitch
     """
     if m is None:
         m = minimum_clique_switch_count(n, r)
+    check_positive_int(n, "n")
     check_positive_int(m, "m")
     if m * (r - m + 1) < n:
         raise ValueError(
             f"clique of m={m} switches at radix r={r} can host at most "
             f"{m * (r - m + 1)} hosts, asked for {n}"
         )
-    g = HostSwitchGraph(num_switches=m, radix=r)
-    for a in range(m):
-        for b in range(a + 1, m):
-            g.add_switch_edge(a, b)
-    spread_hosts_evenly(g, n)
-    g.validate()
-    return g
-
-
-def spread_hosts_evenly(graph: HostSwitchGraph, n: int) -> None:
-    """Attach ``n`` hosts round-robin over switches with free ports.
-
-    Deterministic: repeatedly attaches to the switch with the most free
-    ports (ties to the lowest index), which yields an even spread whenever
-    capacities allow.  A heap keyed ``(-free, s)`` makes that pick in
-    O(log m) per host.
-    """
-    check_positive_int(n, "n")
-    free = [graph.free_ports(s) for s in range(graph.num_switches)]
-    heap = [(-f, s) for s, f in enumerate(free) if f > 0]
-    heapq.heapify(heap)
-    for _ in range(n):
-        if not heap:
-            raise ValueError("ran out of free ports while attaching hosts")
-        neg_free, best = heap[0]
-        graph.attach_host(best)
-        if neg_free < -1:
-            heapq.heapreplace(heap, (neg_free + 1, best))
-        else:
-            heapq.heappop(heap)
+    edges = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    return HostSwitchGraph.from_edges(m, r, edges, spread_hosts_evenly([r - m + 1] * m, n))
 
 
 def random_regular_switch_topology(
@@ -285,7 +264,9 @@ def random_host_switch_graph(
             f"{total_ports - tree_ports} free ports after a spanning tree, "
             f"need {n} for hosts"
         )
-    spread_hosts_evenly(g, n)
+    free = [g.free_ports(s) for s in range(m)]
+    for s in spread_hosts_evenly(free, n):
+        g.attach_host(s)
 
     if fill_edges and m > 1:
         _add_random_edges(g, rng)
@@ -316,32 +297,65 @@ def _add_random_edges(g: HostSwitchGraph, rng: np.random.Generator) -> None:
                 del free[pos]
 
 
-def fill_hosts_sequentially(graph: HostSwitchGraph, n: int) -> None:
+def _ports(free: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every free port as ``(switch, rank, free[switch])``, switch by switch.
+
+    Switch ``s``'s ports are ranked ``0 .. free[s] - 1``.
+    """
+    free_arr = np.asarray(free, dtype=np.int64)
+    switches = np.repeat(np.arange(free_arr.size), free_arr)
+    rank = np.arange(switches.size) - np.repeat(np.cumsum(free_arr) - free_arr, free_arr)
+    return switches, rank, free_arr[switches]
+
+
+def _first(ports: np.ndarray, n: int) -> list[int]:
+    """The switches of the first ``n`` ports, one host each."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n > ports.size:
+        raise ValueError(f"not enough free ports to attach {n} hosts ({ports.size} free)")
+    return ports[:n].tolist()
+
+
+def fill_hosts_sequentially(free: Sequence[int], n: int) -> list[int]:
     """Attach ``n`` hosts scanning switches in index order (Section 6.2.1).
 
-    Each switch is filled to capacity before moving on — the paper's host
-    attachment rule for the *conventional* topologies.
+    ``free[s]`` is switch ``s``'s free-port count; the result lists the
+    switch of each host.  Each switch is filled to capacity before moving
+    on — the paper's host attachment rule for the *conventional*
+    topologies.
     """
-    check_positive_int(n, "n")
-    remaining = n
-    for s in range(graph.num_switches):
-        while remaining > 0 and graph.free_ports(s) >= 1:
-            graph.attach_host(s)
-            remaining -= 1
-        if remaining == 0:
-            return
-    raise ValueError(f"not enough free ports to attach {n} hosts")
+    return _first(np.repeat(np.arange(len(free)), free), n)
 
 
-def fill_hosts_dfs(graph: HostSwitchGraph, n: int, root: int = 0) -> None:
+def fill_hosts_round_robin(free: Sequence[int], n: int) -> list[int]:
+    """Attach ``n`` hosts one per switch with a free port per sweep."""
+    switches, rank, _ = _ports(free)
+    return _first(switches[np.argsort(rank, kind="stable")], n)
+
+
+def spread_hosts_evenly(free: Sequence[int], n: int) -> list[int]:
+    """Attach ``n`` hosts, each to the switch with the most free ports left.
+
+    Ties go to the lowest index, which yields an even spread whenever
+    capacities allow.  Switch ``s``'s port of rank ``k`` is taken with
+    ``free[s] - k`` ports left, so the picks are the ports in order of
+    that count, descending, then of switch id.
+    """
+    switches, rank, free_at = _ports(free)
+    return _first(switches[np.argsort(rank - free_at, kind="stable")], n)
+
+
+def fill_hosts_dfs(graph: HostSwitchGraph, n: int, root: int = 0) -> list[int]:
     """Attach ``n`` hosts in depth-first switch order (Section 6.2.1).
 
     The paper attaches the proposed topology's hosts "in depth-first order
     by using backtracking": switches are visited by DFS over the switch
     graph so consecutively numbered hosts land on nearby switches, which
-    improves locality for neighbour-structured MPI ranks.
+    improves locality for neighbour-structured MPI ranks.  Fills the free
+    ports of the switches reachable from ``root``; ``graph`` is not
+    changed.
     """
-    check_positive_int(n, "n")
     m = graph.num_switches
     seen = [False] * m
     order: list[int] = []
@@ -355,11 +369,5 @@ def fill_hosts_dfs(graph: HostSwitchGraph, n: int, root: int = 0) -> None:
         for b in sorted(graph.neighbors(s), reverse=True):
             if not seen[b]:
                 stack.append(b)
-    remaining = n
-    for s in order:
-        while remaining > 0 and graph.free_ports(s) >= 1:
-            graph.attach_host(s)
-            remaining -= 1
-        if remaining == 0:
-            return
-    raise ValueError(f"not enough free ports reachable from root to attach {n} hosts")
+    free = [graph.free_ports(s) for s in order]
+    return _first(np.repeat(np.array(order, dtype=np.int64), free), n)

@@ -26,10 +26,14 @@ against the attachment array when present.
 The structure is mutable with O(1) edge/host moves so the simulated-annealing
 search (Section 5) can apply and undo moves cheaply.
 
-Graphs whose whole edge list is known up front (compose fabrics, parsed
-HSG text, regular start graphs) are built in bulk by
-:meth:`HostSwitchGraph.from_edges`: NumPy checks over the whole edge and
-attachment arrays, then one :meth:`~HostSwitchGraph.validate`, and no
+Legality (paper Section 3.1) has two owners.  The mutators' guards own
+single edits: ids in range, no self loop or parallel edge, a free port.
+:meth:`~HostSwitchGraph.validate` owns whole graphs, in NumPy passes
+over the adjacency and attachment arrays.  Graphs whose whole edge list
+is known up front (star, clique and regular graphs, the topology
+families, compose fabrics, parsed HSG text) are built in bulk by
+:meth:`HostSwitchGraph.from_edges`: NumPy checks of ids, self loops and
+parallel edges, then the one :meth:`~HostSwitchGraph.validate`, and no
 mutator (hence no contract check) per edge.  A set's iteration order
 follows its insertion history, and the annealer samples edges in
 :meth:`~HostSwitchGraph.switch_edges` order, so the bulk build fills
@@ -39,7 +43,9 @@ every neighbour set in edge order, exactly as one
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -48,6 +54,10 @@ from repro.utils.contracts import graph_invariant
 from repro.utils.validation import check_positive_int
 
 __all__ = ["HostSwitchGraph"]
+
+#: Switches :meth:`HostSwitchGraph.validate` reads per NumPy slice, which
+#: keeps its temporaries small beside a 100k-host fabric's neighbour sets.
+_VALIDATE_SLICE = 128
 
 
 class HostSwitchGraph:
@@ -174,13 +184,16 @@ class HostSwitchGraph:
     # Mutation
     # ------------------------------------------------------------------ #
 
-    @graph_invariant(touched=lambda self, result, a, b: (a, b))
+    @graph_invariant
     def add_switch_edge(self, a: int, b: int) -> None:
         """Link switches ``a`` and ``b``; raises if illegal.
 
-        Illegal cases: self loop, parallel edge, or either endpoint out of
-        free ports.
+        Illegal cases: an endpoint outside ``0..m-1``, self loop, parallel
+        edge, or either endpoint out of free ports.
         """
+        m = len(self._adj)
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"switch edge ({a}, {b}) names a switch outside 0..{m - 1}")
         if a == b:
             raise ValueError(f"self loop on switch {a} is not allowed")
         if b in self._adj[a]:
@@ -194,9 +207,12 @@ class HostSwitchGraph:
         self._num_switch_edges += 1
         self._bump_topology_version()
 
-    @graph_invariant(touched=lambda self, result, a, b: (a, b))
+    @graph_invariant
     def remove_switch_edge(self, a: int, b: int) -> None:
         """Remove the switch-switch edge ``(a, b)``; raises if absent."""
+        m = len(self._adj)
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"switch edge ({a}, {b}) names a switch outside 0..{m - 1}")
         if b not in self._adj[a]:
             raise ValueError(f"switch edge ({a}, {b}) does not exist")
         self._adj[a].discard(b)
@@ -204,21 +220,28 @@ class HostSwitchGraph:
         self._num_switch_edges -= 1
         self._bump_topology_version()
 
-    @graph_invariant(touched=lambda self, result, s: (s,))
+    @graph_invariant
     def attach_host(self, s: int) -> int:
         """Attach a new host to switch ``s`` and return its host id."""
+        h = len(self._host_switch)
+        if not 0 <= s < len(self._adj):
+            raise ValueError(f"host {h} attached to invalid switch {s}")
         if self.free_ports(s) < 1:
             raise ValueError(f"switch {s} has no free port for a host")
-        h = len(self._host_switch)
         self._host_switch.append(s)
         self._hosts_per_switch[s] += 1
         if self._hosts_by_switch is not None:
             self._hosts_by_switch[s].add(h)
         return h
 
-    @graph_invariant(touched=lambda self, result, h, to_switch: (result, to_switch))
+    @graph_invariant
     def move_host(self, h: int, to_switch: int) -> int:
         """Re-attach host ``h`` to ``to_switch``; returns the old switch."""
+        n = len(self._host_switch)
+        if not 0 <= h < n:
+            raise ValueError(f"host {h} is outside 0..{n - 1}")
+        if not 0 <= to_switch < len(self._adj):
+            raise ValueError(f"host {h} attached to invalid switch {to_switch}")
         old = self._host_switch[h]
         if old == to_switch:
             return old
@@ -240,6 +263,11 @@ class HostSwitchGraph:
         ``from_switch`` is chosen so the operation is deterministic; the
         first call builds the per-switch host index that finds it.
         """
+        m = len(self._adj)
+        if not (0 <= from_switch < m and 0 <= to_switch < m):
+            raise ValueError(
+                f"host move ({from_switch}, {to_switch}) names a switch outside 0..{m - 1}"
+            )
         if self._hosts_per_switch[from_switch] < 1:
             raise ValueError(f"switch {from_switch} has no host to move")
         if self._hosts_by_switch is None:
@@ -356,36 +384,46 @@ class HostSwitchGraph:
     def validate(self) -> None:
         """Check every structural invariant; raise ``ValueError`` on breach.
 
-        Invariants: symmetric simple switch adjacency, radix respected at
-        every switch, host counts and (when built) the per-switch host
-        index consistent with the attachment array.
+        NumPy passes over the adjacency and attachment arrays, in this
+        order: no self loop, neighbours inside ``0..m-1``, symmetric
+        adjacency, the edge counter, hosts on valid switches, host counts
+        and (when built) the per-switch host index consistent with the
+        attachment array, and the radix respected at every switch.  Each
+        breach names the lowest-id offending switch (or host); a one-way
+        arc is named in its stored orientation.
         """
-        m = self.num_switches
-        edge_count = 0
-        for a, nbrs in enumerate(self._adj):
-            if a in nbrs:
-                raise ValueError(f"self loop at switch {a}")
-            for b in nbrs:
-                if not 0 <= b < m:
-                    raise ValueError(f"edge ({a}, {b}) leaves the switch range")
-                if a not in self._adj[b]:
-                    raise ValueError(f"asymmetric adjacency at edge ({a}, {b})")
-            edge_count += len(nbrs)
-        if edge_count != 2 * self._num_switch_edges:
+        m = len(self._adj)
+        degree = np.fromiter(map(len, self._adj), dtype=np.int64, count=m)
+        loops = np.fromiter(map(operator.contains, self._adj, range(m)), dtype=bool, count=m)
+        if loops.any():
+            raise ValueError(f"self loop at switch {loops.argmax()}")
+        # With no self loop and no repeat within a neighbour set, the pair
+        # {a, b} is stored at most twice, and twice iff both arcs are: the
+        # sorted keys pair up at even and odd positions iff symmetric.  A
+        # stable sort, because the default one pages in NumPy's SIMD sort
+        # code, which raised a 100k-host build's peak RSS.
+        keys = self._pair_keys(degree)
+        keys.sort(kind="stable")
+        if keys.size % 2 or not np.array_equal(keys[0::2], keys[1::2]):
+            a, b = self._one_way_arc(degree, keys)
+            raise ValueError(f"asymmetric adjacency at edge ({a}, {b})")
+        del keys
+        if int(degree.sum()) != 2 * self._num_switch_edges:
             raise ValueError("switch edge counter desynchronised from adjacency")
-        counts = [0] * m
-        for h, s in enumerate(self._host_switch):
-            if not 0 <= s < m:
-                raise ValueError(f"host {h} attached to invalid switch {s}")
-            counts[s] += 1
-        if counts != self._hosts_per_switch:
-            for s in range(m):
-                if counts[s] != self._hosts_per_switch[s]:
-                    raise ValueError(
-                        f"per-switch host counts desynchronised at switch {s}: "
-                        f"counter says {self._hosts_per_switch[s]}, attachment "
-                        f"array has {counts[s]}"
-                    )
+        hosts = np.array(self._host_switch, dtype=np.int64)
+        bad = np.flatnonzero((hosts < 0) | (hosts >= m))
+        if bad.size:
+            h = bad[0]
+            raise ValueError(f"host {h} attached to invalid switch {hosts[h]}")
+        counts = np.bincount(hosts, minlength=m)
+        recorded = np.array(self._hosts_per_switch, dtype=np.int64)
+        off = np.flatnonzero(counts != recorded)
+        if off.size:
+            s = off[0]
+            raise ValueError(
+                f"per-switch host counts desynchronised at switch {s}: "
+                f"counter says {recorded[s]}, attachment array has {counts[s]}"
+            )
         index = self._hosts_by_switch
         if index is not None:
             for s, attached in enumerate(self._index_hosts()):
@@ -394,14 +432,48 @@ class HostSwitchGraph:
                         f"host index desynchronised at switch {s}: index lists "
                         f"{sorted(index[s])}, attachment array has {sorted(attached)}"
                     )
-        for s in range(m):
-            used = self.ports_used(s)
-            if used > self._radix:
-                raise ValueError(
-                    f"switch {s} exceeds its port budget: {used} ports used "
-                    f"({len(self._adj[s])} switch links + "
-                    f"{self._hosts_per_switch[s]} hosts) > radix {self._radix}"
-                )
+        over = np.flatnonzero(degree + recorded > self._radix)
+        if over.size:
+            s = over[0]
+            raise ValueError(
+                f"switch {s} exceeds its port budget: {degree[s] + recorded[s]} "
+                f"ports used ({degree[s]} switch links + {recorded[s]} hosts) "
+                f"> radix {self._radix}"
+            )
+
+    def _pair_keys(self, degree: np.ndarray) -> np.ndarray:
+        """``min(a, b) * m + max(a, b)`` for every stored arc ``b in _adj[a]``.
+
+        Read a slice of switches at a time, so the temporaries stay small
+        beside the one key per arc; raises on a neighbour outside
+        ``0..m-1``, naming the first arc of the lowest-id switch.
+        """
+        m = len(self._adj)
+        keys = np.empty(int(degree.sum()), dtype=np.int32 if m * m < 2**31 else np.int64)
+        pos = 0
+        for lo in range(0, m, _VALIDATE_SLICE):
+            sliced = degree[lo : lo + _VALIDATE_SLICE]
+            count = int(sliced.sum())
+            heads = np.fromiter(
+                chain.from_iterable(self._adj[lo : lo + _VALIDATE_SLICE]),
+                dtype=np.int64,
+                count=count,
+            )
+            tails = np.repeat(np.arange(lo, lo + sliced.size), sliced)
+            bad = np.flatnonzero((heads < 0) | (heads >= m))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"edge ({tails[i]}, {heads[i]}) leaves the switch range")
+            keys[pos : pos + count] = np.minimum(heads, tails) * m + np.maximum(heads, tails)
+            pos += count
+        return keys
+
+    def _one_way_arc(self, degree: np.ndarray, sorted_keys: np.ndarray) -> tuple[int, int]:
+        """The first stored arc of the lowest-id switch whose reverse is missing."""
+        keys, counts = np.unique(sorted_keys, return_counts=True)
+        i = np.flatnonzero(np.isin(self._pair_keys(degree), keys[counts == 1]))[0]
+        heads = np.fromiter(chain.from_iterable(self._adj), dtype=np.int64, count=sorted_keys.size)
+        return int(np.repeat(np.arange(degree.size), degree)[i]), int(heads[i])
 
     # ------------------------------------------------------------------ #
     # Dunder conveniences
@@ -432,10 +504,11 @@ class HostSwitchGraph:
     ) -> "HostSwitchGraph":
         """Build a validated graph from whole edge and attachment arrays.
 
-        The bulk constructor: the checks the mutators make one call at a
-        time run once over the whole arrays (switch range, self loops,
-        parallel edges in either orientation, host switch range, port
-        budgets), then :meth:`validate` checks the result.  Edge ``i`` is
+        The bulk constructor for every graph whose edge list is known up
+        front: switch range, self loops, parallel edges in either
+        orientation and the host switch range are checked over the whole
+        arrays before the neighbour sets are built, and :meth:`validate`
+        checks the result (the port budgets among it).  Edge ``i`` is
         added as the ``i``-th :meth:`add_switch_edge` would add it and host
         ``h`` is attached to ``host_attachments[h]``, so the graph equals
         the edge-by-edge build down to :meth:`switch_edges` order.  Raises
@@ -453,13 +526,6 @@ class HostSwitchGraph:
         flat = edges.ravel()
         degree = np.bincount(flat, minlength=m)
         count = np.bincount(hosts, minlength=m)
-        over = np.flatnonzero(degree + count > radix)
-        if over.size:
-            s = int(over[0])
-            raise ValueError(
-                f"switch {s} has no free port (radix {radix}): "
-                f"{degree[s]} switch links + {count[s]} hosts"
-            )
         # A stable sort of the endpoints [a0, b0, a1, b1, ...] lists each
         # switch's edges in edge order; position p's neighbour is p ^ 1.
         order = np.argsort(flat, kind="stable")

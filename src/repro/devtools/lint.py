@@ -155,19 +155,12 @@ _OBS_PACKAGES = ("repro.core", "repro.simulation", "repro.partition")
 _TIME_FUNCS = frozenset({"time", "perf_counter"})
 
 # HostSwitchGraph mutation methods (REP002) and helpers that mutate the
-# graph passed as their first argument.
+# graph passed as their first argument (the host placement helpers return
+# attachment lists and mutate nothing).
 _MUTATORS = frozenset(
     {"add_switch_edge", "remove_switch_edge", "attach_host", "move_host", "move_any_host"}
 )
-_MUTATION_HELPERS = frozenset(
-    {
-        "spread_hosts_evenly",
-        "fill_hosts_sequentially",
-        "fill_hosts_dfs",
-        "attach_hosts",
-        "_add_random_edges",
-    }
-)
+_MUTATION_HELPERS = frozenset({"_add_random_edges"})
 
 # Shortest-path / APSP entry points (REP003).
 _DIST_FUNCS = frozenset(

@@ -50,13 +50,15 @@ class TraceTailer:
     since the previous call.  A new run reopens the sink with ``"w"``,
     which keeps the inode: when the cursor finds the file rewritten under
     it (shrunk, or grown past the old end with other content), the tailer
-    reads it again from the top and sets :attr:`truncated`.  :meth:`close`
-    releases the file.
+    reads it again from the top and sets :attr:`restarted` for that poll
+    (the records it returns are the new run's, from its first line) and
+    :attr:`truncated` for good.  :meth:`close` releases the file.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.invalid_lines = 0
+        self.restarted = False
         self.truncated = False
         self._cursor = LineCursor(self.path)
         self._opened = False
@@ -64,10 +66,10 @@ class TraceTailer:
     def poll(self) -> list[dict[str, Any]]:
         """Newly appended schema-shaped records (malformed lines counted)."""
         full, data = self._cursor.read()
-        if full:
-            # The first full read opens the file; any later one restarts it.
-            self.truncated = self.truncated or self._opened
-            self._opened = True
+        # The first full read opens the file; any later one restarts it.
+        self.restarted = full and self._opened
+        self.truncated = self.truncated or self.restarted
+        self._opened = self._opened or full
         records: list[dict[str, Any]] = []
         for line in data.decode("utf-8", errors="replace").split("\n"):
             line = line.strip()
@@ -362,7 +364,10 @@ def monitor(
                 snapshot = store_view.snapshot()
             else:
                 assert tailer is not None and agg is not None
-                agg.update(tailer.poll())
+                records = tailer.poll()
+                if tailer.restarted:
+                    agg = ProgressAggregator()  # the old run's records are gone
+                agg.update(records)
                 header = [f"monitoring {target}"]
                 if tailer.truncated:
                     header.append("(file truncated — a new run restarted the trace)")

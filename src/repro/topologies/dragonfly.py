@@ -17,7 +17,7 @@ one-link-per-group-pair requirement exactly.
 from __future__ import annotations
 
 from repro.core.hostswitch import HostSwitchGraph
-from repro.topologies.base import TopologySpec, attach_hosts
+from repro.topologies.base import TopologySpec, build_graph
 from repro.utils.validation import check_positive_int
 
 __all__ = ["dragonfly", "dragonfly_spec", "dragonfly_switch_edges"]
@@ -75,16 +75,4 @@ def dragonfly(
     ``n_max = 1056``.  ``fill`` picks the host attachment order (see
     :func:`repro.topologies.base.attach_hosts`).
     """
-    spec = dragonfly_spec(a)
-    if num_hosts is None:
-        num_hosts = spec.max_hosts
-    if num_hosts > spec.max_hosts:
-        raise ValueError(
-            f"dragonfly(a={a}) hosts at most {spec.max_hosts}, asked {num_hosts}"
-        )
-    g = HostSwitchGraph(num_switches=spec.num_switches, radix=spec.radix)
-    for u, v in dragonfly_switch_edges(a):
-        g.add_switch_edge(u, v)
-    attach_hosts(g, num_hosts, fill)
-    g.validate()
-    return g, spec
+    return build_graph(dragonfly_spec(a), dragonfly_switch_edges(a), num_hosts, fill)

@@ -16,7 +16,7 @@ switches exactly as the construction requires.
 from __future__ import annotations
 
 from repro.core.hostswitch import HostSwitchGraph
-from repro.topologies.base import TopologySpec
+from repro.topologies.base import TopologySpec, build_graph
 from repro.utils.validation import check_positive_int
 
 __all__ = ["fat_tree", "fat_tree_spec", "fat_tree_switch_edges"]
@@ -73,30 +73,10 @@ def fat_tree_switch_edges(k: int) -> list[tuple[int, int]]:
 def fat_tree(k: int, num_hosts: int | None = None) -> tuple[HostSwitchGraph, TopologySpec]:
     """Build a K-ary fat-tree; hosts fill edge switches in index order.
 
+    That is the sequential fill: aggregation and core switches spend all
+    ``K`` ports on links, so only edge switches have free ports.
+
     The paper's comparison instance is ``K = 16``: ``r = 16``, ``m = 320``,
     ``n = 1024``.
     """
-    spec = fat_tree_spec(k)
-    if num_hosts is None:
-        num_hosts = spec.max_hosts
-    if num_hosts > spec.max_hosts:
-        raise ValueError(
-            f"fat_tree(K={k}) hosts at most {spec.max_hosts}, asked {num_hosts}"
-        )
-    g = HostSwitchGraph(num_switches=spec.num_switches, radix=k)
-    for u, v in fat_tree_switch_edges(k):
-        g.add_switch_edge(u, v)
-    half = k // 2
-    remaining = num_hosts
-    for pod in range(k):
-        for e in range(half):
-            s = _edge_switch(k, pod, e)
-            for _ in range(half):
-                if remaining == 0:
-                    break
-                g.attach_host(s)
-                remaining -= 1
-    if remaining:
-        raise ValueError(f"could not attach {remaining} hosts")
-    g.validate()
-    return g, spec
+    return build_graph(fat_tree_spec(k), fat_tree_switch_edges(k), num_hosts)

@@ -9,7 +9,7 @@ same vintage (Cosmic Cube era): ``m = 2^d`` switches, switch ``i`` links to
 from __future__ import annotations
 
 from repro.core.hostswitch import HostSwitchGraph
-from repro.topologies.base import TopologySpec, attach_hosts
+from repro.topologies.base import TopologySpec, build_graph
 from repro.utils.validation import check_positive_int
 
 __all__ = ["hypercube", "hypercube_spec", "hypercube_switch_edges"]
@@ -48,16 +48,4 @@ def hypercube(
 ) -> tuple[HostSwitchGraph, TopologySpec]:
     """Build a hypercube host-switch graph."""
     spec = hypercube_spec(dim, radix)
-    if num_hosts is None:
-        num_hosts = spec.max_hosts
-    if num_hosts > spec.max_hosts:
-        raise ValueError(
-            f"hypercube(d={dim}) at r={radix} hosts at most {spec.max_hosts}, "
-            f"asked {num_hosts}"
-        )
-    g = HostSwitchGraph(num_switches=spec.num_switches, radix=radix)
-    for u, v in hypercube_switch_edges(dim):
-        g.add_switch_edge(u, v)
-    attach_hosts(g, num_hosts, fill)
-    g.validate()
-    return g, spec
+    return build_graph(spec, hypercube_switch_edges(dim), num_hosts, fill)

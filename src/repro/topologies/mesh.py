@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 
 from repro.core.hostswitch import HostSwitchGraph
-from repro.topologies.base import TopologySpec, attach_hosts
+from repro.topologies.base import TopologySpec, build_graph
 from repro.utils.validation import check_positive_int
 
 __all__ = ["mesh", "mesh_spec", "mesh_switch_edges"]
@@ -62,16 +62,4 @@ def mesh(
 ) -> tuple[HostSwitchGraph, TopologySpec]:
     """Build a mesh host-switch graph."""
     spec = mesh_spec(dimension, base, radix)
-    if num_hosts is None:
-        num_hosts = spec.max_hosts
-    if num_hosts > spec.max_hosts:
-        raise ValueError(
-            f"mesh({dimension},{base}) at r={radix} hosts at most "
-            f"{spec.max_hosts}, asked {num_hosts}"
-        )
-    g = HostSwitchGraph(num_switches=spec.num_switches, radix=radix)
-    for u, v in mesh_switch_edges(dimension, base):
-        g.add_switch_edge(u, v)
-    attach_hosts(g, num_hosts, fill)
-    g.validate()
-    return g, spec
+    return build_graph(spec, mesh_switch_edges(dimension, base), num_hosts, fill)

@@ -79,7 +79,9 @@ def random_shortcut_ring(
         for a, b in _sample_matching(g, rng, max_tries):
             g.add_switch_edge(a, b)
 
-    attach_hosts(g, num_hosts, fill)
+    free = [g.free_ports(s) for s in range(m)]
+    for s in attach_hosts(free, num_hosts, fill):
+        g.attach_host(s)
     g.validate()
     return g, spec
 

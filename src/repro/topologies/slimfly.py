@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 
 from repro.core.hostswitch import HostSwitchGraph
-from repro.topologies.base import TopologySpec, attach_hosts
+from repro.topologies.base import TopologySpec, build_graph
 from repro.utils.validation import check_positive_int
 
 __all__ = ["slim_fly", "slim_fly_spec", "slim_fly_switch_edges", "valid_slim_fly_q"]
@@ -141,15 +141,4 @@ def slim_fly(
 ) -> tuple[HostSwitchGraph, TopologySpec]:
     """Build a Slim Fly host-switch graph for prime ``q``."""
     spec = slim_fly_spec(q, hosts_per_switch)
-    if num_hosts is None:
-        num_hosts = spec.max_hosts
-    if num_hosts > spec.max_hosts:
-        raise ValueError(
-            f"slim_fly(q={q}) hosts at most {spec.max_hosts}, asked {num_hosts}"
-        )
-    g = HostSwitchGraph(num_switches=spec.num_switches, radix=spec.radix)
-    for a, b in slim_fly_switch_edges(q):
-        g.add_switch_edge(a, b)
-    attach_hosts(g, num_hosts, fill)
-    g.validate()
-    return g, spec
+    return build_graph(spec, slim_fly_switch_edges(q), num_hosts, fill)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import product
 
 from repro.core.hostswitch import HostSwitchGraph
-from repro.topologies.base import TopologySpec, attach_hosts
+from repro.topologies.base import TopologySpec, build_graph
 from repro.utils.validation import check_positive_int
 
 __all__ = ["torus", "torus_spec", "torus_switch_edges"]
@@ -83,16 +83,4 @@ def torus(
         ``"round-robin"`` — see :func:`repro.topologies.base.attach_hosts`.
     """
     spec = torus_spec(dimension, base, radix)
-    if num_hosts is None:
-        num_hosts = spec.max_hosts
-    if num_hosts > spec.max_hosts:
-        raise ValueError(
-            f"torus({dimension},{base}) at r={radix} hosts at most "
-            f"{spec.max_hosts}, asked for {num_hosts}"
-        )
-    g = HostSwitchGraph(num_switches=spec.num_switches, radix=radix)
-    for a, b in torus_switch_edges(dimension, base):
-        g.add_switch_edge(a, b)
-    attach_hosts(g, num_hosts, fill)
-    g.validate()
-    return g, spec
+    return build_graph(spec, torus_switch_edges(dimension, base), num_hosts, fill)

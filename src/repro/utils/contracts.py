@@ -6,23 +6,24 @@ code: graphs are validated after mutation, metrics are never compared with
 *runtime* enforcement so a violation that slips past the linter (e.g. a
 mutation through an untracked alias) still fails fast in development.
 
-Three decorators are provided:
+Two decorators are provided:
 
-- :func:`requires` — precondition over the call arguments.
 - :func:`ensures` — postcondition over the return value.
 - :func:`graph_invariant` — for :class:`~repro.core.hostswitch.HostSwitchGraph`
-  mutation methods: re-checks structural invariants after the mutation.
+  mutation methods: re-validates the whole graph after the mutation at the
+  ``full`` level.
 
-Checking is controlled by the ``REPRO_CONTRACTS`` environment variable:
+The port budget of a single edit is the mutators' own guard; a whole graph
+is checked by :meth:`HostSwitchGraph.validate`.  Checking is controlled by
+the ``REPRO_CONTRACTS`` environment variable:
 
-- ``REPRO_CONTRACTS=0`` (also ``false``/``off``/``no``) — disabled; the
-  wrappers reduce to a single flag check per call.
-- ``REPRO_CONTRACTS=1`` (default, unset) — enabled; ``graph_invariant``
-  checks the port budgets of the switches the mutation touched (O(1) per
-  call).
-- ``REPRO_CONTRACTS=full`` (also ``2``/``all``) — ``graph_invariant`` runs
-  the full O(m + E + n) :meth:`HostSwitchGraph.validate` after every
-  mutation.  Intended for tests and debugging, not for annealing runs.
+- ``REPRO_CONTRACTS=0`` (also ``false``/``off``/``no``) — disabled.
+- ``REPRO_CONTRACTS=1`` (default, unset) — postconditions are checked;
+  ``graph_invariant`` leaves single edits to the mutators' guards.
+- ``REPRO_CONTRACTS=full`` (also ``2``/``all``) — ``graph_invariant`` also
+  runs the full O(m + E + n) :meth:`HostSwitchGraph.validate` after every
+  mutation, which catches private state corrupted between two edits.
+  Intended for tests and debugging, not for annealing runs.
 
 The variable is read on the first check and cached.  Tests (and
 long-running jobs) can override the level with :func:`set_contracts`
@@ -42,7 +43,6 @@ __all__ = [
     "contracts_level",
     "contracts_enabled",
     "set_contracts",
-    "requires",
     "ensures",
     "graph_invariant",
 ]
@@ -101,29 +101,6 @@ def set_contracts(level: str | bool | None) -> None:
         _level = "on" if level else "off"
 
 
-def requires(predicate: Callable[..., bool], message: str = "") -> Callable[[F], F]:
-    """Precondition decorator: ``predicate(*args, **kwargs)`` must hold.
-
-    The predicate receives exactly the call's arguments.  Raises
-    :class:`ContractViolation` when it returns falsy (and contracts are
-    enabled).
-    """
-
-    def decorate(fn: F) -> F:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if contracts_enabled() and not predicate(*args, **kwargs):
-                raise ContractViolation(
-                    f"precondition failed for {fn.__qualname__}"
-                    + (f": {message}" if message else "")
-                )
-            return fn(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate
-
-
 def ensures(predicate: Callable[[Any], bool], message: str = "") -> Callable[[F], F]:
     """Postcondition decorator: ``predicate(result)`` must hold."""
 
@@ -143,52 +120,26 @@ def ensures(predicate: Callable[[Any], bool], message: str = "") -> Callable[[F]
     return decorate
 
 
-def _check_switches(graph: Any, switches: Any) -> None:
-    """O(len(switches)) port-budget check for the touched switches."""
-    radix = graph.radix
-    for s in switches:
-        if graph.hosts_on(s) < 0:
-            raise ContractViolation(
-                f"switch {s} has negative host count {graph.hosts_on(s)}"
-            )
-        used = graph.ports_used(s)
-        if used > radix:
-            raise ContractViolation(
-                f"switch {s} uses {used} ports but the radix is {radix}"
-            )
-
-
-def graph_invariant(*, touched: Callable[..., Any]) -> Callable[[F], F]:
+def graph_invariant(fn: F) -> F:
     """Invariant decorator for ``HostSwitchGraph`` mutation methods.
 
-    After the wrapped method returns, re-checks the graph's structural
-    invariants at the current contract level: nothing at ``"off"``, the
-    port budgets of the touched switches at ``"on"``, the full
-    :meth:`validate` at ``"full"``.  Failures raise
-    :class:`ContractViolation` chained to the underlying error.
-
-    ``touched`` is called as ``touched(self, result, *args, **kwargs)`` and
-    returns the switch ids whose port budgets the mutation could have
-    changed, which keeps the ``"on"`` check O(1) on hot mutation paths.
-    The level is looked up on every call (:func:`contracts_level`).
+    After the wrapped method returns, runs the full :meth:`validate` when
+    the contract level is ``"full"`` and does nothing at the other levels
+    (the mutator's own guard has checked the edit).  Failures raise
+    :class:`ContractViolation` chained to the underlying error.  The level
+    is looked up on every call (:func:`contracts_level`).
     """
 
-    def decorate(fn: F) -> F:
-        @functools.wraps(fn)
-        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-            result = fn(self, *args, **kwargs)
-            level = contracts_level()
-            if level == "full":
-                try:
-                    self.validate()
-                except ValueError as exc:
-                    raise ContractViolation(
-                        f"graph invariant broken after {fn.__name__}: {exc}"
-                    ) from exc
-            elif level == "on":
-                _check_switches(self, touched(self, result, *args, **kwargs))
-            return result
+    @functools.wraps(fn)
+    def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
+        result = fn(self, *args, **kwargs)
+        if contracts_level() == "full":
+            try:
+                self.validate()
+            except ValueError as exc:
+                raise ContractViolation(
+                    f"graph invariant broken after {fn.__name__}: {exc}"
+                ) from exc
+        return result
 
-        return wrapper  # type: ignore[return-value]
-
-    return decorate
+    return wrapper  # type: ignore[return-value]

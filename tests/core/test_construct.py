@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core.construct import (
     clique_host_switch_graph,
     fill_hosts_dfs,
+    fill_hosts_round_robin,
     fill_hosts_sequentially,
     minimum_clique_switch_count,
     random_host_switch_graph,
@@ -160,56 +161,90 @@ class TestRandomGraph:
 
 
 class TestHostFills:
+    """Placement helpers map free-port counts to one switch per host."""
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 40))
     def test_spread_evenly_picks_like_a_full_scan(self, seed, n):
         # Reference: rescan every switch per host for the most free ports,
         # ties to the lowest id.
         g = random_host_switch_graph(24, 12, 7, seed=seed, fill_edges=False)
-        ref = g.copy()
-        free_total = sum(g.free_ports(s) for s in range(g.num_switches))
-        n = min(n, free_total)
-        spread_hosts_evenly(g, n)
+        free = [g.free_ports(s) for s in range(g.num_switches)]
+        n = min(n, sum(free))
+        left = list(free)
+        expected = []
         for _ in range(n):
-            free = [ref.free_ports(s) for s in range(ref.num_switches)]
-            ref.attach_host(free.index(max(free)))
-        assert g == ref
+            best = left.index(max(left))
+            expected.append(best)
+            left[best] -= 1
+        hosts = spread_hosts_evenly(free, n)
+        assert hosts == expected
+        assert all(type(s) is int for s in hosts)
 
     def test_spread_evenly_balances(self):
-        g = HostSwitchGraph(4, 6)
-        for a in range(3):
-            g.add_switch_edge(a, a + 1)
-        spread_hosts_evenly(g, 10)
-        counts = g.host_counts()
-        assert counts.sum() == 10
-        assert counts.max() - counts.min() <= 1 or g.free_ports(int(np.argmin(counts))) == 0
+        free = np.array([5, 4, 4, 5])  # a 4-switch path at radix 6
+        counts = np.bincount(spread_hosts_evenly(free, 10), minlength=4)
+        assert counts.tolist() == [3, 2, 2, 3]
+        assert (free - counts).max() - (free - counts).min() <= 1
 
     def test_sequential_fill_packs_first_switches(self):
-        g = HostSwitchGraph(3, 4)
-        g.add_switch_edge(0, 1)
-        g.add_switch_edge(1, 2)
-        fill_hosts_sequentially(g, 5)
-        # switch 0 has 3 free ports, switch 1 has 2.
-        assert g.host_counts().tolist() == [3, 2, 0]
+        # A 3-switch path at radix 4: switch 0 has 3 free ports, switch 1 has 2.
+        assert fill_hosts_sequentially([3, 2, 3], 5) == [0, 0, 0, 1, 1]
+
+    def test_round_robin_fill_sweeps(self):
+        assert fill_hosts_round_robin([1, 3, 0, 2], 5) == [0, 1, 3, 1, 3]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.integers(0, 80))
+    def test_fills_match_loop_references(self, free, n):
+        n = min(n, sum(free))
+        sequential, left = [], list(free)
+        for s in range(len(free)):
+            while len(sequential) < n and left[s] > 0:
+                sequential.append(s)
+                left[s] -= 1
+        round_robin, left = [], list(free)
+        while len(round_robin) < n:
+            for s in range(len(free)):
+                if len(round_robin) < n and left[s] > 0:
+                    round_robin.append(s)
+                    left[s] -= 1
+        assert fill_hosts_sequentially(free, n) == sequential
+        assert fill_hosts_round_robin(free, n) == round_robin
 
     def test_sequential_fill_capacity_error(self):
-        g = HostSwitchGraph(1, 4)
-        with pytest.raises(ValueError, match="not enough"):
-            fill_hosts_sequentially(g, 5)
+        with pytest.raises(ValueError, match=r"not enough free ports to attach 5 hosts \(4 free\)"):
+            fill_hosts_sequentially([4], 5)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            fill_hosts_sequentially([4], -1)
+        assert fill_hosts_sequentially([4], 0) == []
+
+    @pytest.mark.parametrize(
+        "fill",
+        [
+            fill_hosts_round_robin, spread_hosts_evenly,
+            lambda free, n: fill_hosts_dfs(
+                HostSwitchGraph.from_edges(len(free), 4, [], []), n
+            ),
+        ],
+        ids=["round-robin", "spread", "dfs"],
+    )
+    def test_every_fill_gives_the_same_capacity_error(self, fill):
+        with pytest.raises(ValueError, match=r"not enough free ports to attach 5 hosts \(4 free\)"):
+            fill([4], 5)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            fill([4], -1)
+        assert fill([4], 0) == []
 
     def test_dfs_fill_follows_traversal(self):
         # Path 0-1-2 rooted at 0 fills 0, then 1, then 2.
-        g = HostSwitchGraph(3, 4)
-        g.add_switch_edge(0, 1)
-        g.add_switch_edge(1, 2)
-        fill_hosts_dfs(g, 6, root=0)
-        assert g.host_counts().tolist() == [3, 2, 1]
+        g = HostSwitchGraph.from_edges(3, 4, [(0, 1), (1, 2)], [])
+        assert fill_hosts_dfs(g, 6, root=0) == [0, 0, 0, 1, 1, 2]
+        assert g.num_hosts == 0  # the graph is not changed
 
     def test_dfs_fill_groups_neighbours(self):
         # Star: root 0 with leaves; DFS visits leaf subtrees consecutively.
-        g = HostSwitchGraph(3, 6)
-        g.add_switch_edge(0, 1)
-        g.add_switch_edge(0, 2)
-        fill_hosts_dfs(g, 12, root=0)
-        assert g.host_counts().sum() == 12
-        g.validate()
+        g = HostSwitchGraph.from_edges(3, 6, [(0, 1), (0, 2)], [])
+        hosts = fill_hosts_dfs(g, 12, root=0)
+        assert hosts == [0] * 4 + [1] * 5 + [2] * 3
+        HostSwitchGraph.from_edges(3, 6, [(0, 1), (0, 2)], hosts).validate()

@@ -75,6 +75,14 @@ def _legal_inputs(draw):
     return m, r, edges, hosts[: draw(st.integers(0, len(hosts)))]
 
 
+def _over_budget(s, links, hosts, radix):
+    """validate()'s port-budget message, as a regex."""
+    return (
+        rf"switch {s} exceeds its port budget: {links + hosts} ports used "
+        rf"\({links} switch links \+ {hosts} hosts\) > radix {radix}"
+    )
+
+
 class TestBulkConstruction:
     @settings(max_examples=200, deadline=None)
     @given(_legal_inputs(), st.booleans())
@@ -106,9 +114,9 @@ class TestBulkConstruction:
             (3, 4, [(0, 1), (1, 2), (1, 0)], [], r"switch edge \(1, 0\) already exists"),
             (3, 4, [(0, 1), (0, 3)], [], r"switch edge \(0, 3\) names a switch outside"),
             (3, 4, [(0, 1), (-1, 2)], [], r"switch edge \(-1, 2\) names a switch outside"),
-            (4, 2, [(0, 1), (0, 2), (0, 3)], [], r"switch 0 has no free port"),
-            (2, 2, [], [0, 1, 1, 1], r"switch 1 has no free port"),
-            (3, 2, [(0, 1), (1, 2)], [0, 1], r"switch 1 has no free port"),
+            (4, 2, [(0, 1), (0, 2), (0, 3)], [], _over_budget(0, 3, 0, 2)),
+            (2, 2, [], [0, 1, 1, 1], _over_budget(1, 0, 3, 2)),
+            (3, 2, [(0, 1), (1, 2)], [0, 1], _over_budget(1, 2, 1, 2)),
             (2, 4, [(0, 1)], [0, 2], r"host 1 attached to invalid switch 2"),
             (2, 4, [(0, 1)], [-1], r"host 0 attached to invalid switch -1"),
         ],
@@ -302,34 +310,193 @@ class TestCopyAndExport:
         assert counts.tolist() == [4, 4, 4, 4]
 
 
+def _fresh() -> HostSwitchGraph:
+    """A legal 4-cycle at radix 5 with its host index built."""
+    g = HostSwitchGraph.from_edges(4, 5, [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 1, 2, 3, 3])
+    g.move_any_host(3, 1)
+    return g
+
+
+def _overfill(g: HostSwitchGraph) -> None:
+    """Three hosts past switch 1's budget, counter and index kept in step."""
+    for h in range(g.num_hosts, g.num_hosts + 3):
+        g._host_switch.append(1)
+        g._hosts_per_switch[1] += 1
+        g._hosts_by_switch[1].add(h)
+
+
 class TestValidateDiagnostics:
-    """validate() errors must name the offending switch and its budget."""
+    """One private-state corruption per validate() check, in check order.
 
-    def test_port_budget_message_names_switch_and_breakdown(self):
-        g = HostSwitchGraph(num_switches=2, radix=3)
-        g.add_switch_edge(0, 1)
-        g.attach_host(0)
-        g.attach_host(0)
-        # Sneak a third host onto switch 0 past the mutation-time guard.
-        g._host_switch.append(0)
-        g._hosts_per_switch[0] += 1
-        with pytest.raises(
-            ValueError,
-            match=r"switch 0 exceeds its port budget: 4 ports used "
-            r"\(1 switch links \+ 3 hosts\) > radix 3",
-        ):
+    Each message names the lowest-id offending switch (or host) and, for a
+    one-way arc, the orientation it is stored in.
+    """
+
+    @pytest.mark.parametrize(
+        ("corrupt", "match"),
+        [
+            (lambda g: g._adj[2].add(2), r"^self loop at switch 2$"),
+            (lambda g: g._adj[1].add(4), r"^edge \(1, 4\) leaves the switch range$"),
+            (lambda g: g._adj[3].add(-1), r"^edge \(3, -1\) leaves the switch range$"),
+            (lambda g: g._adj[3].add(1), r"^asymmetric adjacency at edge \(3, 1\)$"),
+            (
+                lambda g: g._adj[0].discard(1),
+                r"^asymmetric adjacency at edge \(1, 0\)$",
+            ),
+            (
+                lambda g: setattr(g, "_num_switch_edges", 5),
+                r"^switch edge counter desynchronised from adjacency$",
+            ),
+            (
+                lambda g: g._host_switch.__setitem__(2, 4),
+                r"^host 2 attached to invalid switch 4$",
+            ),
+            (
+                lambda g: g._hosts_per_switch.__setitem__(1, 0),
+                r"^per-switch host counts desynchronised at switch 1: counter says 0, "
+                r"attachment array has 2$",
+            ),
+            (
+                lambda g: g._hosts_by_switch[2].add(0),
+                r"^host index desynchronised at switch 2: index lists \[0, 2\], "
+                r"attachment array has \[2\]$",
+            ),
+            (_overfill, "^" + _over_budget(1, 2, 5, 5) + "$"),
+        ],
+        ids=[
+            "self-loop", "neighbour-too-large", "neighbour-negative", "one-way-arc",
+            "one-way-arc-stored-high", "edge-counter", "host-switch", "host-count",
+            "host-index", "port-budget",
+        ],
+    )
+    def test_breach_message(self, corrupt, match):
+        g = _fresh()
+        g.validate()
+        corrupt(g)
+        with pytest.raises(ValueError, match=match):
             g.validate()
 
-    def test_host_count_desync_message_names_switch_and_counts(self):
-        g = HostSwitchGraph(num_switches=3, radix=4)
-        g.attach_host(1)
-        g._hosts_per_switch[1] = 0
-        with pytest.raises(
-            ValueError,
-            match=r"desynchronised at switch 1: counter says 0, "
-            r"attachment array has 1",
-        ):
+    def test_lowest_switch_named_first(self):
+        g = _fresh()
+        g._adj[3].add(3)
+        g._adj[1].add(1)
+        with pytest.raises(ValueError, match=r"^self loop at switch 1$"):
             g.validate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_legal_inputs(), st.booleans(), st.integers(0, 8), st.integers(0, 2**32))
+    def test_agrees_with_loop_reference(self, inputs, index, kind, draw):
+        g = HostSwitchGraph.from_edges(*inputs)
+        if index:
+            g._hosts_by_switch = g._index_hosts()
+        _corrupt(g, kind, draw)
+        assert _outcome(HostSwitchGraph.validate, g) == _outcome(_loop_validate, g)
+
+
+def _corrupt(g: HostSwitchGraph, kind: int, draw: int) -> None:
+    """Break one invariant of ``g`` (kind 0: none), chosen by ``draw``."""
+    m, n = g.num_switches, g.num_hosts
+    a = draw % m
+    if kind == 1:
+        g._adj[a].add(a)
+    elif kind == 2:
+        g._adj[a].add(m + draw % 3 if draw % 2 else -1 - draw % 3)
+    elif kind == 3 and len(g._adj[a]) < m - 1:
+        g._adj[a].add(next(b for b in range(m) if b != a and b not in g._adj[a]))
+    elif kind == 4 and g._adj[a]:
+        g._adj[a].discard(sorted(g._adj[a])[draw % len(g._adj[a])])
+    elif kind == 5:
+        g._num_switch_edges += 1
+    elif kind == 6 and n:
+        g._host_switch[draw % n] = (g._host_switch[draw % n] + 1 + draw % (m + 1)) % (m + 2)
+    elif kind == 7:
+        g._hosts_per_switch[a] += 1
+    elif kind == 8:
+        for _ in range(g.free_ports(a) + 1):
+            g._host_switch.append(a)
+            g._hosts_per_switch[a] += 1
+            if g._hosts_by_switch is not None:
+                g._hosts_by_switch[a].add(len(g._host_switch) - 1)
+
+
+def _outcome(validate, g: HostSwitchGraph) -> str:
+    try:
+        validate(g)
+    except ValueError as exc:
+        return str(exc)
+    return "valid"
+
+
+def _loop_validate(g: HostSwitchGraph) -> None:
+    """Reference validate(): one Python loop per check, same order and messages."""
+    m = g.num_switches
+    for a, nbrs in enumerate(g._adj):
+        if a in nbrs:
+            raise ValueError(f"self loop at switch {a}")
+    for a, nbrs in enumerate(g._adj):
+        for b in nbrs:
+            if not 0 <= b < m:
+                raise ValueError(f"edge ({a}, {b}) leaves the switch range")
+    for a, nbrs in enumerate(g._adj):
+        for b in nbrs:
+            if a not in g._adj[b]:
+                raise ValueError(f"asymmetric adjacency at edge ({a}, {b})")
+    if sum(map(len, g._adj)) != 2 * g._num_switch_edges:
+        raise ValueError("switch edge counter desynchronised from adjacency")
+    counts = [0] * m
+    for h, s in enumerate(g._host_switch):
+        if not 0 <= s < m:
+            raise ValueError(f"host {h} attached to invalid switch {s}")
+        counts[s] += 1
+    for s in range(m):
+        if counts[s] != g._hosts_per_switch[s]:
+            raise ValueError(
+                f"per-switch host counts desynchronised at switch {s}: counter says "
+                f"{g._hosts_per_switch[s]}, attachment array has {counts[s]}"
+            )
+    if g._hosts_by_switch is not None:
+        for s in range(m):
+            attached = {h for h, t in enumerate(g._host_switch) if t == s}
+            if g._hosts_by_switch[s] != attached:
+                raise ValueError(
+                    f"host index desynchronised at switch {s}: index lists "
+                    f"{sorted(g._hosts_by_switch[s])}, attachment array has {sorted(attached)}"
+                )
+    for s in range(m):
+        used = len(g._adj[s]) + g._hosts_per_switch[s]
+        if used > g.radix:
+            raise ValueError(
+                f"switch {s} exceeds its port budget: {used} ports used "
+                f"({len(g._adj[s])} switch links + {g._hosts_per_switch[s]} hosts) "
+                f"> radix {g.radix}"
+            )
+
+
+#: Each mutator called with one id out of range: ``call(g, bad)``.
+_OUT_OF_RANGE = {
+    "add_switch_edge": lambda g, bad: g.add_switch_edge(0, bad),
+    "remove_switch_edge": lambda g, bad: g.remove_switch_edge(bad, 0),
+    "attach_host": lambda g, bad: g.attach_host(bad),
+    "move_host-switch": lambda g, bad: g.move_host(0, bad),
+    "move_host-host": lambda g, bad: g.move_host(bad, 1),
+    "move_any_host-from": lambda g, bad: g.move_any_host(bad, 1),
+    "move_any_host-to": lambda g, bad: g.move_any_host(0, bad),
+}
+
+
+class TestMutatorRangeGuards:
+    """Ids outside ``0..m-1`` (hosts: ``0..n-1``) are rejected before any change."""
+
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "m"])
+    @pytest.mark.parametrize("call", sorted(_OUT_OF_RANGE))
+    def test_rejected_without_change(self, call, bad):
+        g = HostSwitchGraph.from_edges(3, 5, [(0, 1), (1, 2), (2, 0)], [0, 1, 2])
+        g.move_any_host(2, 0)  # builds the host index
+        before = pickle.dumps(g)
+        with pytest.raises(ValueError, match=r"outside 0\.\.2|attached to invalid switch"):
+            _OUT_OF_RANGE[call](g, bad)
+        assert pickle.dumps(g) == before
+        g.validate()
 
 
 class TestHostIndex:

@@ -129,7 +129,7 @@ def test_rep002_quiet_when_validated():
 
 def test_rep002_quiet_when_not_returned():
     # Mutating in place on behalf of the caller is the helper contract
-    # (spread_hosts_evenly-style); only *returning* unvalidated fires.
+    # (_add_random_edges-style); only *returning* unvalidated fires.
     src = """
         from repro.core.hostswitch import HostSwitchGraph
 

@@ -97,8 +97,10 @@ class TestTraceTailer:
         records = tailer.poll()
         assert [r["fields"]["step"] for r in records] == [0, 1, 2, 3, 4, 5]
         assert {r["name"] for r in records} == {"anneal.heartbeat"}
-        assert tailer.truncated
+        assert tailer.truncated and tailer.restarted
         assert tailer.invalid_lines == 0
+        assert tailer.poll() == []
+        assert tailer.truncated and not tailer.restarted  # restarted is per poll
         tailer.close()
 
     def test_malformed_lines_counted_not_raised(self, tmp_path):
@@ -243,6 +245,27 @@ class TestMonitor:
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             monitor(tmp_path / "nope.jsonl", once=True)
+
+    def test_rewritten_trace_starts_a_fresh_aggregate(self, tmp_path, monkeypatch):
+        # A new run rewrites the trace in place between two refreshes: the
+        # dashboard shows that run alone, not a mix of the two.
+        trace = tmp_path / "run.jsonl"
+
+        def run(best, steps):
+            sink = JsonlSink(trace)
+            sink.write(event("solver.start", n=16, r=4))
+            for step in range(steps):
+                sink.write(event("anneal.heartbeat", step=step, num_steps=steps))
+            sink.write(event("solver.done", n=16, r=4, best_h_aspl=best))
+            sink.close()
+
+        run(3.9, 0)
+        monkeypatch.setattr("repro.obs.progress.time.sleep", lambda _: run(4.2, 2))
+        snapshot = monitor(trace, cycles=2, interval=0, stream=io.StringIO())
+        assert "a new run restarted the trace" in snapshot
+        assert "records seen: 4" in snapshot
+        assert "best h-ASPL (n=16, r=4): 4.2000" in snapshot
+        assert "3.9000" not in snapshot
 
     def test_invalid_lines_reported_in_header(self, tmp_path):
         trace = tmp_path / "run.jsonl"

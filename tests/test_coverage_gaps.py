@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.hostswitch import HostSwitchGraph
 from repro.partition.bisect import greedy_bisection, initial_bisection
 from repro.partition.graph import WeightedGraph
 from repro.partition.metrics import cut_size
@@ -20,19 +19,16 @@ from repro.topologies.torus import torus_switch_edges
 
 class TestAttachHosts:
     def test_unknown_strategy(self):
-        g = HostSwitchGraph(2, 4)
         with pytest.raises(ValueError, match="unknown host fill"):
-            attach_hosts(g, 2, "diagonal")
+            attach_hosts([2, 2], 2, "diagonal")
 
     def test_sequential_out_of_ports(self):
-        g = HostSwitchGraph(1, 3)
-        with pytest.raises(ValueError, match="out of ports"):
-            attach_hosts(g, 4, "sequential")
+        with pytest.raises(ValueError, match="not enough free ports"):
+            attach_hosts([3], 4, "sequential")
 
     def test_round_robin_out_of_ports(self):
-        g = HostSwitchGraph(2, 2)
-        with pytest.raises(ValueError, match="out of ports"):
-            attach_hosts(g, 5, "round-robin")
+        with pytest.raises(ValueError, match="not enough free ports"):
+            attach_hosts([2, 2], 5, "round-robin")
 
 
 class TestSpecStr:
