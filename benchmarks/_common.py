@@ -23,9 +23,8 @@ import os
 from functools import lru_cache
 from pathlib import Path
 
-from repro.campaign import CampaignStore, normalize_point, point_digest
-from repro.core.annealing import AnnealingSchedule
-from repro.core.solver import ORPSolution, solve_orp
+from repro.campaign import CampaignStore, normalize_point, point_digest, solve_point
+from repro.core.solver import ORPSolution
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -101,10 +100,11 @@ def orp_point(
 ) -> ORPSolution:
     """Solve (or fetch) one ORP point through the campaign result store.
 
-    The point is normalized and content-addressed exactly like a campaign
-    point, so figure scripts and ``repro campaign`` share one cache: a
-    warm store serves the solution with zero solver work, a cold one
-    solves and persists it.  Also cached per-process via ``lru_cache``.
+    The point is normalized, content-addressed and solved exactly like a
+    campaign point (:func:`repro.campaign.solve_point`), so figure scripts
+    and ``repro campaign`` share one cache: a warm store serves the
+    solution with zero solver work, a cold one solves and persists it.
+    Also cached per-process via ``lru_cache``.
     """
     point = normalize_point(
         {
@@ -121,15 +121,7 @@ def orp_point(
     store = CampaignStore(STORE_ROOT, STORE_NAME)
     if store.has_result(digest):
         return store.load_result(digest)
-    solution = solve_orp(
-        point["n"],
-        point["r"],
-        m=point["m"],
-        schedule=AnnealingSchedule(num_steps=point["steps"]),
-        seed=point["seed"],
-        operation=point["operation"],
-        construction=point["construction"],
-    )
+    solution = solve_point(point)
     store.save_result(digest, point, solution)
     return solution
 

@@ -49,6 +49,7 @@ from repro.core.metrics import (
     h_aspl,
     h_aspl_from_distances,
 )
+from repro.core.serialization import float_from_json, float_to_json
 from repro.obs import NULL_TELEMETRY, TelemetryRegistry
 from repro.utils.rng import as_generator
 
@@ -250,7 +251,7 @@ class ResilienceSweepResult:
             "failures": self.failures,
             "trials": self.trials,
             "baseline_h_aspl": self.baseline_h_aspl,
-            "connected_h_aspl": [_json_float(v) for v in self.connected_h_aspl],
+            "connected_h_aspl": [float_to_json(v) for v in self.connected_h_aspl],
             "reachable_pair_fraction": list(self.reachable_pair_fraction),
             "num_components": list(self.num_components),
         }
@@ -266,18 +267,10 @@ class ResilienceSweepResult:
             failures=int(doc["failures"]),
             trials=int(doc["trials"]),
             baseline_h_aspl=float(doc["baseline_h_aspl"]),
-            connected_h_aspl=tuple(_parse_float(v) for v in doc["connected_h_aspl"]),
+            connected_h_aspl=tuple(float_from_json(v) for v in doc["connected_h_aspl"]),
             reachable_pair_fraction=tuple(float(v) for v in doc["reachable_pair_fraction"]),
             num_components=tuple(int(v) for v in doc["num_components"]),
         )
-
-
-def _json_float(v: float) -> float | str:
-    return "inf" if math.isinf(v) else v
-
-
-def _parse_float(v: float | str) -> float:
-    return float("inf") if v == "inf" else float(v)
 
 
 def failure_sweep(
@@ -375,7 +368,7 @@ def failure_sweep(
             trials=trials,
             disconnected=result.disconnected,
             mean_reachable_fraction=result.mean_reachable_fraction,
-            p50_connected_h_aspl=_json_float(result.connected_h_aspl_percentile(50)),
+            p50_connected_h_aspl=float_to_json(result.connected_h_aspl_percentile(50)),
         )
     return result
 

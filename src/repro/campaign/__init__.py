@@ -3,7 +3,9 @@
 The orchestration layer for reproducing the paper's evaluation at scale:
 
 - :mod:`repro.campaign.spec` — declarative JSON sweep specs expanded into
-  normalized points, each content-addressed by a canonical SHA-256 digest;
+  normalized points, each content-addressed by a canonical SHA-256 digest,
+  and :func:`~repro.campaign.spec.solve_point`, the one point-to-solver
+  mapping;
 - :mod:`repro.campaign.store` — the content-addressed artifact store (the
   package's *only* file-write path, enforced by repro-lint REP008);
 - :mod:`repro.campaign.index` — the append-only leaderboard index (best
@@ -35,6 +37,7 @@ from repro.campaign.spec import (
     load_spec,
     normalize_point,
     point_digest,
+    solve_point,
 )
 from repro.campaign.index import IndexEntry, IndexRebuildStats, best_by_nr
 from repro.campaign.store import BestPoint, CampaignStore, ScanBest, StoreError
@@ -65,4 +68,5 @@ __all__ = [
     "normalize_point",
     "point_digest",
     "run_campaign",
+    "solve_point",
 ]

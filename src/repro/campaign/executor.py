@@ -4,7 +4,7 @@ Execution model
 ---------------
 Points whose digest already has a result are served from the store without
 touching the solver ("cached").  Remaining points run through
-:func:`repro.core.solver.solve_orp` under a
+:func:`repro.campaign.spec.solve_point` under a
 :class:`~repro.campaign.checkpoint.PointCheckpointer`:
 
 - ``jobs == 1`` — in-process, one point at a time.  SIGINT (and the
@@ -42,7 +42,13 @@ from repro.campaign.checkpoint import (
     PointCheckpointer,
     PointTimeout,
 )
-from repro.campaign.spec import CampaignSpec, ExecutorConfig, point_digest
+from repro.campaign.spec import (
+    SOLVER_FIELDS,
+    CampaignSpec,
+    ExecutorConfig,
+    point_digest,
+    solve_point,
+)
 from repro.campaign.store import CampaignStore, StoreError
 from repro.obs import NULL_TELEMETRY, TelemetryRegistry
 from repro.obs import clock as obs_clock
@@ -152,9 +158,6 @@ def _solve_point(
     on_checkpoint: Any = None,
 ) -> Any:
     """One solver attempt for ``point`` under checkpoint/timeout control."""
-    from repro.core.annealing import AnnealingSchedule
-    from repro.core.solver import solve_orp
-
     deadline = None if cfg.timeout_s is None else obs_clock() + cfg.timeout_s
 
     def hook() -> None:
@@ -193,39 +196,16 @@ def _solve_point(
             point["r"],
             copies=point["copies"],
             block_hosts=point["block_hosts"],
-            m=point["m"],
-            steps=point["steps"],
-            restarts=point["restarts"],
-            seed=point["seed"],
-            operation=point["operation"],
-            construction=point["construction"],
-            initial_temperature=point["initial_temperature"],
-            final_temperature=point["final_temperature"],
             store=store,
             measure=point["measure"],
             telemetry=telemetry,
+            **{key: point[key] for key in SOLVER_FIELDS},
         )
 
     checkpointer = PointCheckpointer(
         store, digest, cfg.checkpoint_every, on_checkpoint=hook
     )
-    schedule = AnnealingSchedule(
-        num_steps=point["steps"],
-        initial_temperature=point["initial_temperature"],
-        final_temperature=point["final_temperature"],
-    )
-    return solve_orp(
-        point["n"],
-        point["r"],
-        m=point["m"],
-        schedule=schedule,
-        restarts=point["restarts"],
-        seed=point["seed"],
-        operation=point["operation"],
-        construction=point["construction"],
-        telemetry=telemetry,
-        checkpointer=checkpointer,
-    )
+    return solve_point(point, telemetry=telemetry, checkpointer=checkpointer)
 
 
 def _execute_point(

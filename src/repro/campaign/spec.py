@@ -24,17 +24,18 @@ in the result store: same parameters, same key, regardless of dict
 ordering, spec file formatting, or which campaign asked for it.
 
 Points come in three kinds.  The default, ``"orp"``, anneals an ORP
-solution as above; its normalized form carries **no** ``kind`` key, so
-every digest ever computed stays valid.  ``"kind": "resilience"`` points
+solution through :func:`solve_point`, the one mapping of point fields onto
+the solver; its normalized form carries **no** ``kind`` key, so every
+digest ever computed stays valid.  ``"kind": "resilience"`` points
 instead build a seeded graph and run
 :func:`repro.analysis.resilience.failure_sweep` over it
 (``mode``/``failures``/``trials``/``seed`` fields).  ``"kind": "compose"``
 points build a large fabric through
 :func:`repro.compose.fabric.build_fabric` (``copies``/``block_hosts``
-shape fields plus the block's solver fields); their block sub-solves land
-in the same store as plain ORP points, so compose campaigns and direct
-sweeps share one block cache.  A top-level ``"kind"`` in the spec applies
-to every point.
+shape fields plus the block's :data:`SOLVER_FIELDS`); their block
+sub-solves land in the same store as plain ORP points, so compose
+campaigns and direct sweeps share one block cache.  A top-level
+``"kind"`` in the spec applies to every point.
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.campaign.checkpoint import PointCheckpointer
+    from repro.core.solver import ORPSolution
+    from repro.obs import TelemetryRegistry
 
 __all__ = [
     "CAMPAIGN_SPEC_FORMAT",
@@ -52,6 +58,7 @@ __all__ = [
     "POINT_FIELDS",
     "POINT_KINDS",
     "RESILIENCE_POINT_FIELDS",
+    "SOLVER_FIELDS",
     "CampaignSpec",
     "ExecutorConfig",
     "SpecError",
@@ -60,6 +67,7 @@ __all__ = [
     "load_spec",
     "normalize_point",
     "point_digest",
+    "solve_point",
 ]
 
 CAMPAIGN_SPEC_FORMAT = "repro.campaign.spec/v1"
@@ -69,7 +77,9 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 #: Solver-relevant point fields, their types, and normalization defaults.
 #: The defaults mirror ``solve_orp`` / ``AnnealingSchedule`` exactly, so a
 #: spec that omits a field digests identically to one spelling the default
-#: out — and to what the solver will actually run.
+#: out — and to what the solver will actually run.  This table is the one
+#: home of those defaults: compose points and block resolution take their
+#: solver fields from it, and :func:`solve_point` maps them onto the solver.
 POINT_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "n": (int, None),  # required
     "r": (int, None),  # required
@@ -83,13 +93,20 @@ POINT_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "final_temperature": ((int, float), 1e-4),
 }
 
-_REQUIRED = ("n", "r")
-_OPERATIONS = ("swap", "swing", "two-neighbor-swing")
-_CONSTRUCTIONS = ("random", "regular")
+#: The ORP point fields besides ``(n, r)``: what configures a search.  A
+#: compose point carries them for its block, and
+#: :func:`repro.compose.blocks.resolve_block` takes them as keywords.
+SOLVER_FIELDS = tuple(key for key in POINT_FIELDS if key not in ("n", "r"))
 
-#: Recognized point kinds.  ``orp`` is the historical default and digests
-#: without a ``kind`` key for backward compatibility.
-POINT_KINDS = ("orp", "resilience", "compose")
+_REQUIRED = ("n", "r")
+_TEMPERATURES = ("initial_temperature", "final_temperature")
+#: Integer fields that count something, so must be >= 1 when set.
+_COUNTS = ("n", "r", "m", "steps", "restarts", "failures", "trials", "copies", "block_hosts")
+_CHOICES = {
+    "operation": ("swap", "swing", "two-neighbor-swing"),
+    "construction": ("random", "regular"),
+    "mode": ("link", "switch"),
+}
 
 #: Fields of a ``kind="resilience"`` point: a seeded graph plus the
 #: :func:`repro.analysis.resilience.failure_sweep` parameters.  Defaults
@@ -108,35 +125,37 @@ RESILIENCE_POINT_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "seed": (int, 0),
 }
 
-_MODES = ("link", "switch")
-
 #: Fields of a ``kind="compose"`` point: the fabric target ``(n, r)``, the
-#: plan shape (``copies``/``block_hosts``), and the block's solver fields.
-#: Defaults mirror :func:`repro.compose.fabric.build_fabric` exactly, for
-#: the same digest-stability reason as :data:`POINT_FIELDS`.
+#: plan shape (``copies``/``block_hosts``), the block's solver fields (rows
+#: of :data:`POINT_FIELDS`), and whether to measure the fabric exactly.
 COMPOSE_POINT_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "kind": (str, "compose"),
     "n": (int, None),  # required
     "r": (int, None),  # required
     "copies": ((int, type(None)), None),
     "block_hosts": ((int, type(None)), None),
-    "m": ((int, type(None)), None),
-    "steps": (int, 20_000),
-    "restarts": (int, 1),
-    "seed": (int, 0),
-    "operation": (str, "two-neighbor-swing"),
-    "construction": (str, "random"),
-    "initial_temperature": ((int, float), 0.05),
-    "final_temperature": ((int, float), 1e-4),
+    **{key: POINT_FIELDS[key] for key in SOLVER_FIELDS},
     "measure": (bool, False),
 }
 
-_EXECUTOR_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
-    "jobs": (int, 1),
-    "checkpoint_every": (int, 1000),
-    "timeout_s": ((int, float, type(None)), None),
-    "retries": (int, 1),
-    "backoff_s": ((int, float), 1.0),
+_KIND_FIELDS = {
+    "orp": POINT_FIELDS,
+    "resilience": RESILIENCE_POINT_FIELDS,
+    "compose": COMPOSE_POINT_FIELDS,
+}
+
+#: Recognized point kinds.  ``orp`` is the historical default and digests
+#: without a ``kind`` key for backward compatibility.
+POINT_KINDS = tuple(_KIND_FIELDS)
+
+#: Accepted types of the ``executor`` block; :class:`ExecutorConfig` owns
+#: the defaults and the range checks.
+_EXECUTOR_FIELDS: dict[str, type | tuple[type, ...]] = {
+    "jobs": int,
+    "checkpoint_every": int,
+    "timeout_s": (int, float, type(None)),
+    "retries": int,
+    "backoff_s": (int, float),
 }
 
 
@@ -192,112 +211,30 @@ def canonical_json(obj: Any) -> str:
 def normalize_point(point: dict[str, Any]) -> dict[str, Any]:
     """Validate one point and make every solver-relevant field explicit.
 
-    Dispatches on the point's ``kind`` (default ``"orp"``).  ORP points
-    return a new dict with exactly the :data:`POINT_FIELDS` keys — no
-    ``kind`` key, so pre-kind digests are unchanged; resilience points keep
-    ``kind="resilience"`` plus the :data:`RESILIENCE_POINT_FIELDS` keys,
-    and compose points keep ``kind="compose"`` plus the
-    :data:`COMPOSE_POINT_FIELDS` keys.  Raises :class:`SpecError` on
-    unknown keys, missing required keys, wrong types, or out-of-range
-    values.
+    Dispatches on the point's ``kind`` (default ``"orp"``) to its field
+    table.  ORP points return a new dict with exactly the
+    :data:`POINT_FIELDS` keys — no ``kind`` key, so pre-kind digests are
+    unchanged; resilience points keep ``kind="resilience"`` plus the
+    :data:`RESILIENCE_POINT_FIELDS` keys, and compose points keep
+    ``kind="compose"`` plus the :data:`COMPOSE_POINT_FIELDS` keys.  Every
+    kind needs ``n >= 2`` hosts and radix ``r >= 3``, the smallest shape
+    any of them can run.  Raises :class:`SpecError` on unknown keys,
+    missing required keys, wrong types, or out-of-range values.
     """
     kind = point.get("kind", "orp")
     if kind not in POINT_KINDS:
         raise SpecError(f"point kind must be one of {POINT_KINDS}, got {kind!r}")
-    if kind == "resilience":
-        return _normalize_resilience_point(point)
-    if kind == "compose":
-        return _normalize_compose_point(point)
-    point = {key: value for key, value in point.items() if key != "kind"}
-    unknown = set(point) - set(POINT_FIELDS)
+    fields = _KIND_FIELDS[kind]
+    if kind == "orp":
+        point = {key: value for key, value in point.items() if key != "kind"}
+    unknown = set(point) - set(fields)
     if unknown:
+        label = "point" if kind == "orp" else f"{kind} point"
         raise SpecError(
-            f"unknown point field(s) {sorted(unknown)}; "
-            f"allowed: {sorted(POINT_FIELDS)}"
+            f"unknown {label} field(s) {sorted(unknown)}; allowed: {sorted(fields)}"
         )
     out: dict[str, Any] = {}
-    for key, (types, default) in POINT_FIELDS.items():
-        if key in point:
-            value = point[key]
-        elif key in _REQUIRED:
-            raise SpecError(f"point is missing required field {key!r}: {point!r}")
-        else:
-            value = default
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise SpecError(
-                f"point field {key!r} must be {types}, got {value!r}"
-            )
-        if key in ("initial_temperature", "final_temperature"):
-            value = float(value)
-        out[key] = value
-    for key in ("n", "r", "steps", "restarts"):
-        if out[key] < 1:
-            raise SpecError(f"point field {key!r} must be >= 1, got {out[key]}")
-    if out["m"] is not None and out["m"] < 1:
-        raise SpecError(f"point field 'm' must be >= 1, got {out['m']}")
-    if out["operation"] not in _OPERATIONS:
-        raise SpecError(
-            f"point operation must be one of {_OPERATIONS}, got {out['operation']!r}"
-        )
-    if out["construction"] not in _CONSTRUCTIONS:
-        raise SpecError(
-            f"point construction must be one of {_CONSTRUCTIONS}, "
-            f"got {out['construction']!r}"
-        )
-    if not 0 < out["final_temperature"] <= out["initial_temperature"]:
-        raise SpecError(
-            "need 0 < final_temperature <= initial_temperature, got "
-            f"{out['final_temperature']}, {out['initial_temperature']}"
-        )
-    return out
-
-
-def _normalize_resilience_point(point: dict[str, Any]) -> dict[str, Any]:
-    """Normalize a ``kind="resilience"`` point (see :func:`normalize_point`)."""
-    unknown = set(point) - set(RESILIENCE_POINT_FIELDS)
-    if unknown:
-        raise SpecError(
-            f"unknown resilience point field(s) {sorted(unknown)}; "
-            f"allowed: {sorted(RESILIENCE_POINT_FIELDS)}"
-        )
-    out: dict[str, Any] = {}
-    for key, (types, default) in RESILIENCE_POINT_FIELDS.items():
-        if key in point:
-            value = point[key]
-        elif key in _REQUIRED:
-            raise SpecError(f"point is missing required field {key!r}: {point!r}")
-        else:
-            value = default
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise SpecError(f"point field {key!r} must be {types}, got {value!r}")
-        out[key] = value
-    for key in ("r", "failures", "trials"):
-        if out[key] < 1:
-            raise SpecError(f"point field {key!r} must be >= 1, got {out[key]}")
-    if out["n"] < 2:
-        raise SpecError(f"resilience needs n >= 2 hosts, got {out['n']}")
-    if out["m"] is not None and out["m"] < 1:
-        raise SpecError(f"point field 'm' must be >= 1, got {out['m']}")
-    if out["construction"] not in _CONSTRUCTIONS:
-        raise SpecError(
-            f"point construction must be one of {_CONSTRUCTIONS}, "
-            f"got {out['construction']!r}"
-        )
-    if out["mode"] not in _MODES:
-        raise SpecError(f"point mode must be one of {_MODES}, got {out['mode']!r}")
-    return out
-
-
-def _normalize_compose_point(point: dict[str, Any]) -> dict[str, Any]:
-    """Normalize a ``kind="compose"`` point (see :func:`normalize_point`)."""
-    unknown = set(point) - set(COMPOSE_POINT_FIELDS)
-    if unknown:
-        raise SpecError(
-            f"unknown compose point field(s) {sorted(unknown)}; "
-            f"allowed: {sorted(COMPOSE_POINT_FIELDS)}"
-        )
-    out: dict[str, Any] = {}
-    for key, (types, default) in COMPOSE_POINT_FIELDS.items():
+    for key, (types, default) in fields.items():
         if key in point:
             value = point[key]
         elif key in _REQUIRED:
@@ -305,45 +242,71 @@ def _normalize_compose_point(point: dict[str, Any]) -> dict[str, Any]:
         else:
             value = default
         # ``measure`` is the one genuinely boolean point field; everywhere
-        # else a bool is a smuggled int and rejected like the other kinds.
+        # else a bool is a smuggled int and rejected.
         if types is bool:
             ok = isinstance(value, bool)
         else:
             ok = not isinstance(value, bool) and isinstance(value, types)
         if not ok:
             raise SpecError(f"point field {key!r} must be {types}, got {value!r}")
-        if key in ("initial_temperature", "final_temperature"):
-            value = float(value)
-        out[key] = value
-    for key in ("steps", "restarts"):
-        if out[key] < 1:
+        out[key] = float(value) if key in _TEMPERATURES else value
+    for key in _COUNTS:
+        if out.get(key) is not None and out[key] < 1:
             raise SpecError(f"point field {key!r} must be >= 1, got {out[key]}")
     if out["n"] < 2:
-        raise SpecError(f"composition needs n >= 2 hosts, got {out['n']}")
+        raise SpecError(f"{kind} point needs n >= 2 hosts, got {out['n']}")
     if out["r"] < 3:
-        raise SpecError(f"composition needs radix >= 3, got {out['r']}")
-    for key in ("copies", "block_hosts", "m"):
-        if out[key] is not None and out[key] < 1:
-            raise SpecError(f"point field {key!r} must be >= 1, got {out[key]}")
-    if out["block_hosts"] is not None and out["block_hosts"] < 2:
+        raise SpecError(f"{kind} point needs radix >= 3, got {out['r']}")
+    if out.get("block_hosts") is not None and out["block_hosts"] < 2:
         raise SpecError(
             f"point field 'block_hosts' must be >= 2, got {out['block_hosts']}"
         )
-    if out["operation"] not in _OPERATIONS:
-        raise SpecError(
-            f"point operation must be one of {_OPERATIONS}, got {out['operation']!r}"
-        )
-    if out["construction"] not in _CONSTRUCTIONS:
-        raise SpecError(
-            f"point construction must be one of {_CONSTRUCTIONS}, "
-            f"got {out['construction']!r}"
-        )
-    if not 0 < out["final_temperature"] <= out["initial_temperature"]:
+    for key, choices in _CHOICES.items():
+        if key in out and out[key] not in choices:
+            raise SpecError(f"point {key} must be one of {choices}, got {out[key]!r}")
+    if "final_temperature" in out and not (
+        0 < out["final_temperature"] <= out["initial_temperature"]
+    ):
         raise SpecError(
             "need 0 < final_temperature <= initial_temperature, got "
             f"{out['final_temperature']}, {out['initial_temperature']}"
         )
     return out
+
+
+def solve_point(
+    point: dict[str, Any],
+    *,
+    telemetry: TelemetryRegistry | None = None,
+    checkpointer: PointCheckpointer | None = None,
+) -> ORPSolution:
+    """Run the ORP search a normalized ORP ``point`` describes.
+
+    The one mapping of point fields onto :func:`repro.core.solver.solve_orp`
+    and its :class:`~repro.core.annealing.AnnealingSchedule`: campaign
+    points, compose blocks and the figure benchmarks all solve through it,
+    so a stored result is what its point digest says.  ``telemetry`` and
+    ``checkpointer`` pass through to ``solve_orp``.
+    """
+    from repro.core.annealing import AnnealingSchedule
+    from repro.core.solver import solve_orp
+
+    return solve_orp(
+        point["n"],
+        point["r"],
+        m=point["m"],
+        schedule=AnnealingSchedule(
+            num_steps=point["steps"],
+            initial_temperature=point["initial_temperature"],
+            final_temperature=point["final_temperature"],
+        ),
+        restarts=point["restarts"],
+        seed=point["seed"],
+        operation=point["operation"],
+        construction=point["construction"],
+        telemetry=telemetry,
+        checkpointer=checkpointer,
+    )
 
 
 def point_digest(point: dict[str, Any]) -> str:
@@ -430,14 +393,11 @@ def load_spec(document: dict[str, Any]) -> CampaignSpec:
             f"unknown executor field(s) {sorted(unknown)}; "
             f"allowed: {sorted(_EXECUTOR_FIELDS)}"
         )
-    executor_kwargs: dict[str, Any] = {}
-    for key, (types, _default) in _EXECUTOR_FIELDS.items():
-        if key in executor_doc:
-            value = executor_doc[key]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise SpecError(f"executor field {key!r} must be {types}, got {value!r}")
-            executor_kwargs[key] = value
-    executor = ExecutorConfig(**executor_kwargs)
+    for key, value in executor_doc.items():
+        types = _EXECUTOR_FIELDS[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise SpecError(f"executor field {key!r} must be {types}, got {value!r}")
+    executor = ExecutorConfig(**executor_doc)
 
     return CampaignSpec(
         name=name,

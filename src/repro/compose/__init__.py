@@ -19,7 +19,7 @@ Modules
   serializable :class:`ComposeResult`.
 """
 
-from repro.compose.blocks import ResolvedBlock, block_point, resolve_block
+from repro.compose.blocks import ResolvedBlock, resolve_block
 from repro.compose.fabric import (
     COMPOSE_RESULT_FORMAT,
     ComposeResult,
@@ -46,7 +46,6 @@ __all__ = [
     "ComposePlan",
     "ComposeResult",
     "ResolvedBlock",
-    "block_point",
     "build_fabric",
     "compose_blocks",
     "plan_composition",

@@ -1,4 +1,4 @@
-"""Block resolution: campaign-store memoization around ``solve_orp``.
+"""Block resolution: campaign-store memoization around ``solve_point``.
 
 A composed fabric's quality is entirely the block's, so blocks are worth
 searching hard for — once.  :func:`resolve_block` keys the block's solver
@@ -11,8 +11,9 @@ SHA-256 content digest ``repro campaign`` uses), so:
   *known* result at the block's ``(n, r)`` regardless of which schedule
   produced it (disable with ``use_best=False`` for strict digest
   reproducibility);
-- a miss solves via :func:`repro.core.solver.solve_orp` and stores the
-  result as a plain ORP point, immediately reusable by campaigns.
+- a miss solves via :func:`repro.campaign.spec.solve_point` (the campaign
+  executor's own solve) and stores the result as a plain ORP point,
+  immediately reusable by campaigns.
 
 ``best_for`` answers from the store's append-only leaderboard index
 (:mod:`repro.campaign.index`), not a point-directory scan, so resolving a
@@ -27,14 +28,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.campaign.spec import normalize_point, point_digest
+from repro.campaign.spec import (
+    SOLVER_FIELDS,
+    SpecError,
+    normalize_point,
+    point_digest,
+    solve_point,
+)
 from repro.campaign.store import CampaignStore, StoreError
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.serialization import load_graph
 from repro.obs import NULL_TELEMETRY, TelemetryRegistry
 from repro.obs import clock as obs_clock
 
-__all__ = ["ResolvedBlock", "block_point", "resolve_block"]
+__all__ = ["ResolvedBlock", "resolve_block"]
 
 
 @dataclass(frozen=True)
@@ -48,37 +55,7 @@ class ResolvedBlock:
     cached: bool
     source: str
     """``"store"`` (exact digest hit), ``"store-best"`` (best known result
-    at the block's ``(n, r)``), or ``"solved"`` (fresh ``solve_orp``)."""
-
-
-def block_point(
-    n: int,
-    r: int,
-    *,
-    m: int | None = None,
-    steps: int = 20_000,
-    restarts: int = 1,
-    seed: int = 0,
-    operation: str = "two-neighbor-swing",
-    construction: str = "random",
-    initial_temperature: float = 0.05,
-    final_temperature: float = 1e-4,
-) -> dict[str, Any]:
-    """The normalized ORP campaign point a block solve corresponds to."""
-    return normalize_point(
-        {
-            "n": n,
-            "r": r,
-            "m": m,
-            "steps": steps,
-            "restarts": restarts,
-            "seed": seed,
-            "operation": operation,
-            "construction": construction,
-            "initial_temperature": initial_temperature,
-            "final_temperature": final_temperature,
-        }
-    )
+    at the block's ``(n, r)``), or ``"solved"`` (fresh ``solve_point``)."""
 
 
 def resolve_block(
@@ -92,13 +69,20 @@ def resolve_block(
 ) -> ResolvedBlock:
     """Fetch (or solve and memoize) the ORP block for ``(n, r)``.
 
-    ``solver_params`` are the :func:`block_point` keywords (``m``,
-    ``steps``, ``restarts``, ``seed``, ``operation``, ``construction``,
-    temperatures).  With no ``store`` the block is solved
-    in-memory every time.
+    ``solver_params`` are ORP point fields by name
+    (:data:`~repro.campaign.spec.SOLVER_FIELDS`); the block is the plain
+    ORP point ``{"n": n, "r": r, **solver_params}``, normalized and
+    digested like a campaign's, so an unknown or ill-typed keyword raises
+    :class:`~repro.campaign.spec.SpecError`.  With no ``store`` the block
+    is solved in-memory every time.
     """
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    point = block_point(n, r, **solver_params)
+    # Only solver fields: a ``kind`` would file the ORP solution under
+    # another kind's digest, where that kind's campaign would find it.
+    unknown = set(solver_params) - set(SOLVER_FIELDS)
+    if unknown:
+        raise SpecError(f"unknown block solver field(s) {sorted(unknown)}")
+    point = normalize_point({"n": n, "r": r, **solver_params})
     digest = point_digest(point)
     if store is not None:
         if store.has_result(digest):
@@ -145,25 +129,8 @@ def resolve_block(
                     source="store-best",
                 )
 
-    from repro.core.annealing import AnnealingSchedule
-    from repro.core.solver import solve_orp
-
     t0 = obs_clock()
-    solution = solve_orp(
-        point["n"],
-        point["r"],
-        m=point["m"],
-        schedule=AnnealingSchedule(
-            num_steps=point["steps"],
-            initial_temperature=point["initial_temperature"],
-            final_temperature=point["final_temperature"],
-        ),
-        restarts=point["restarts"],
-        seed=point["seed"],
-        operation=point["operation"],
-        construction=point["construction"],
-        telemetry=telemetry,
-    )
+    solution = solve_point(point, telemetry=telemetry)
     if store is not None:
         store.save_result(digest, point, solution)
     tel.event(

@@ -24,7 +24,6 @@ memoized block digest plus the copy count, so the store never persists the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,20 +42,13 @@ from repro.core.bounds import (
     shimizu_mori_h_aspl_lower_bound,
 )
 from repro.core.hostswitch import HostSwitchGraph
+from repro.core.serialization import float_from_json, float_to_json
 from repro.obs import NULL_TELEMETRY, TelemetryRegistry
 from repro.obs import clock as obs_clock
 
 __all__ = ["COMPOSE_RESULT_FORMAT", "ComposeResult", "build_fabric"]
 
 COMPOSE_RESULT_FORMAT = "repro.compose.result/v1"
-
-
-def _json_float(v: float) -> float | str:
-    return "inf" if math.isinf(v) else v
-
-
-def _parse_float(v: float | str) -> float:
-    return float("inf") if v == "inf" else float(v)
 
 
 @dataclass(frozen=True)
@@ -135,8 +127,8 @@ class ComposeResult:
             "predicted_diameter": self.predicted_diameter,
             "h_aspl_lower_bound": self.h_aspl_lower_bound,
             "diameter_lower_bound": self.diameter_lower_bound,
-            "shimizu_mori_bound": _json_float(self.shimizu_mori_bound),
-            "lacin_baseline": _json_float(self.lacin_baseline),
+            "shimizu_mori_bound": float_to_json(self.shimizu_mori_bound),
+            "lacin_baseline": float_to_json(self.lacin_baseline),
             "build_wall_s": self.build_wall_s,
             "measured_h_aspl": self.measured_h_aspl,
             "measured_diameter": self.measured_diameter,
@@ -167,8 +159,8 @@ class ComposeResult:
             predicted_diameter=float(doc["predicted_diameter"]),
             h_aspl_lower_bound=float(doc["h_aspl_lower_bound"]),
             diameter_lower_bound=int(doc["diameter_lower_bound"]),
-            shimizu_mori_bound=_parse_float(doc["shimizu_mori_bound"]),
-            lacin_baseline=_parse_float(doc["lacin_baseline"]),
+            shimizu_mori_bound=float_from_json(doc["shimizu_mori_bound"]),
+            lacin_baseline=float_from_json(doc["lacin_baseline"]),
             build_wall_s=float(doc["build_wall_s"]),
             measured_h_aspl=None if measured_h is None else float(measured_h),
             measured_diameter=None if measured_d is None else float(measured_d),
@@ -208,27 +200,21 @@ def build_fabric(
     *,
     copies: int | None = None,
     block_hosts: int | None = None,
-    m: int | None = None,
-    steps: int = 20_000,
-    restarts: int = 1,
-    seed: int = 0,
-    operation: str = "two-neighbor-swing",
-    construction: str = "random",
-    initial_temperature: float = 0.05,
-    final_temperature: float = 1e-4,
     store: CampaignStore | None = None,
-    use_best: bool = True,
     measure: bool = False,
     telemetry: TelemetryRegistry | None = None,
+    **solver_params: Any,
 ) -> ComposeResult:
     """Build (and optionally exactly measure) a composed fabric for ``(n, r)``.
 
     ``copies`` / ``block_hosts`` steer the plan (see
-    :func:`~repro.compose.mizuno.plan_composition`); ``m`` plus the solver
-    keywords configure the block search; ``store`` enables block
-    memoization.  ``measure=True`` runs a full kernel APSP on the fabric —
-    exact but O(fabric) expensive, so large builds normally trust the
-    (provably identical) closed-form prediction instead.
+    :func:`~repro.compose.mizuno.plan_composition`); ``solver_params``
+    configure the block search and go to
+    :func:`~repro.compose.blocks.resolve_block` as they are; ``store``
+    enables block memoization.  ``measure=True`` runs a full kernel APSP
+    on the fabric — exact but O(fabric) expensive, so large builds
+    normally trust the (provably identical) closed-form prediction
+    instead.
     """
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     t0 = obs_clock()
@@ -239,16 +225,8 @@ def build_fabric(
         plan.block_hosts,
         plan.block_radix,
         store=store,
-        use_best=use_best,
         telemetry=telemetry,
-        m=m,
-        steps=steps,
-        restarts=restarts,
-        seed=seed,
-        operation=operation,
-        construction=construction,
-        initial_temperature=initial_temperature,
-        final_temperature=final_temperature,
+        **solver_params,
     )
     fabric = compose_blocks(block.graph, plan.copies, radix=plan.r)
     tel.event(

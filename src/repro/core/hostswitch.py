@@ -296,7 +296,8 @@ class HostSwitchGraph:
 
         Rows are sorted ascending — the layout the BFS kernel of
         :mod:`repro.core.kernels` consumes.  Vectorised: the per-row sort
-        happens in one ``lexsort`` over the flat edge list.
+        is one stable sort of the row-major keys ``row * m + neighbour``
+        (stable for the memory reason :meth:`validate` gives).
 
         The export is cached against a topology version bumped by
         :meth:`add_switch_edge`/:meth:`remove_switch_edge`, so repeated
@@ -309,18 +310,14 @@ class HostSwitchGraph:
         if cached is not None and cached[0] == version:
             return cached[1], cached[2]
         m = self.num_switches
-        counts = np.fromiter(
-            (len(nbrs) for nbrs in self._adj), dtype=np.int32, count=m
-        )
+        counts = np.fromiter(map(len, self._adj), dtype=np.int32, count=m)
         indptr = np.zeros(m + 1, dtype=np.int32)
         np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        flat = np.fromiter(
-            (b for nbrs in self._adj for b in nbrs), dtype=np.int32, count=total
-        )
-        rows = np.repeat(np.arange(m, dtype=np.int32), counts)
-        order = np.lexsort((flat, rows))
-        indices = flat[order]
+        dtype = np.int32 if m * m < 2**31 else np.int64
+        keys = np.fromiter(chain.from_iterable(self._adj), dtype=dtype, count=int(indptr[-1]))
+        keys += np.repeat(np.arange(m, dtype=dtype) * m, counts)
+        keys.sort(kind="stable")
+        indices = (keys % m).astype(np.int32, copy=False)
         self._csr_cache = (version, indptr, indices)
         return indptr, indices
 

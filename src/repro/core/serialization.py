@@ -20,12 +20,15 @@ Solver results (:class:`~repro.core.solver.ORPSolution` with its nested
 :class:`~repro.core.annealing.AnnealingResult` and
 :class:`~repro.core.solver.RestartSummary` records) round-trip through
 plain JSON-ready dicts via ``*_to_dict`` / ``*_from_dict``; graphs are
-embedded as HSG v1 text so one dict is self-contained.  The campaign
+embedded as HSG v1 text so one dict is self-contained, and
+:func:`float_to_json` / :func:`float_from_json` carry the infinite floats
+of other result documents.  The campaign
 result store (:mod:`repro.campaign.store`) persists exactly these dicts.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Any
 
@@ -36,6 +39,8 @@ __all__ = [
     "graph_from_text",
     "save_graph",
     "load_graph",
+    "float_to_json",
+    "float_from_json",
     "restart_summary_to_dict",
     "restart_summary_from_dict",
     "annealing_result_to_dict",
@@ -111,6 +116,20 @@ def load_graph(path: str | Path) -> HostSwitchGraph:
 # --------------------------------------------------------------------- #
 
 _RESULT_FORMAT = "repro.result/v1"
+
+
+def float_to_json(value: float) -> float | str:
+    """``value`` for a JSON document: an infinity becomes the string ``"inf"``.
+
+    Strict JSON has no infinities (``canonical_json`` refuses them), yet
+    bounds past their range and disconnected trials measure as ``inf``.
+    """
+    return "inf" if math.isinf(value) else value
+
+
+def float_from_json(value: float | str) -> float:
+    """Inverse of :func:`float_to_json`."""
+    return float("inf") if value == "inf" else float(value)
 
 
 def _check_format(data: dict[str, Any], expected_kind: str) -> None:

@@ -16,7 +16,11 @@ from repro.campaign.spec import (
     load_spec,
     normalize_point,
     point_digest,
+    solve_point,
 )
+from repro.core.annealing import AnnealingSchedule
+from repro.core.serialization import graph_to_text
+from repro.core.solver import solve_orp
 
 
 class TestNormalizePoint:
@@ -64,6 +68,19 @@ class TestNormalizePoint:
         with pytest.raises(SpecError, match="'m' must be >= 1"):
             normalize_point({"n": 64, "r": 8, "m": 0})
 
+    @pytest.mark.parametrize("kind", [None, "resilience", "compose"])
+    @pytest.mark.parametrize(
+        "n,r,message", [(1, 8, "n >= 2"), (64, 2, "radix >= 3")]
+    )
+    def test_every_kind_needs_a_runnable_shape(self, kind, n, r, message):
+        # No run can take fewer than 2 hosts or a radix below 3; such a
+        # point used to fail every retry of every run instead of the spec.
+        point = {"n": n, "r": r} if kind is None else {"kind": kind, "n": n, "r": r}
+        with pytest.raises(SpecError, match=message):
+            normalize_point(point)
+        with pytest.raises(SpecError, match=message):
+            load_spec({"name": "unrunnable", "grid": point})
+
     def test_bad_operation_and_construction(self):
         with pytest.raises(SpecError, match="operation"):
             normalize_point({"n": 64, "r": 8, "operation": "shuffle"})
@@ -90,6 +107,32 @@ class TestNormalizePoint:
         b = point_digest({"n": 64, "r": 8, "initial_temperature": 1.0,
                           "final_temperature": 1.0})
         assert a == b
+
+
+class TestSolvePoint:
+    def test_maps_every_field_onto_the_solver(self):
+        # Every field off its default, against a hand-written solve_orp
+        # call: a field solve_point dropped would run the default instead.
+        # At (64, 9) the anneal accepts a different number of moves under
+        # each temperature, so a dropped temperature shows too.
+        point = normalize_point(
+            {"n": 64, "r": 9, "m": 16, "steps": 150, "restarts": 2, "seed": 5,
+             "operation": "swap", "construction": "regular",
+             "initial_temperature": 0.5, "final_temperature": 0.05}
+        )
+        schedule = AnnealingSchedule(
+            num_steps=150, initial_temperature=0.5, final_temperature=0.05
+        )
+        expected = solve_orp(
+            64, 9, m=16, schedule=schedule, restarts=2, seed=5,
+            operation="swap", construction="regular",
+        )
+        solved = solve_point(point)
+        assert graph_to_text(solved.graph) == graph_to_text(expected.graph)
+        assert solved.h_aspl == expected.h_aspl
+        assert [(s.accepted, s.h_aspl) for s in solved.restarts] == [
+            (s.accepted, s.h_aspl) for s in expected.restarts
+        ]
 
 
 class TestPointDigest:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign.spec import point_digest
+from repro.campaign.spec import SpecError, point_digest
 from repro.campaign.store import CampaignStore
-from repro.compose.blocks import block_point, resolve_block
+from repro.compose.blocks import resolve_block
+from repro.compose.fabric import build_fabric
 from repro.obs import TelemetryRegistry
 
 
@@ -17,17 +18,24 @@ def store(tmp_path):
 
 class TestBlockPoint:
     def test_is_plain_orp_point(self):
-        point = block_point(24, 6, steps=200)
+        point = resolve_block(24, 6, steps=200).point
         assert "kind" not in point
         assert point["n"] == 24 and point["r"] == 6 and point["steps"] == 200
 
     def test_digest_matches_campaign_digest(self):
         # A compose block and a campaign sweeping the same parameters must
         # share one store key.
-        point = block_point(24, 6, steps=200, seed=3)
+        point = resolve_block(24, 6, steps=200, seed=3).point
         assert point_digest(point) == point_digest(
             {"n": 24, "r": 6, "steps": 200, "seed": 3}
         )
+
+    @pytest.mark.parametrize("keyword", ["stepz", "kind"])
+    @pytest.mark.parametrize("build", [resolve_block, build_fabric])
+    def test_unknown_solver_keyword_names_the_field(self, build, keyword):
+        # A kind would file the block's solution under a compose digest.
+        with pytest.raises(SpecError, match=keyword):
+            build(24, 6, steps=200, **{keyword: "compose"})
 
 
 class TestResolveBlock:
@@ -100,8 +108,6 @@ class TestBestFor:
     def test_skips_kinded_points(self, store, tmp_path):
         # A compose result at the same (n, r) must not masquerade as an
         # ORP block (it has no graph artifact and carries a kind).
-        from repro.compose.fabric import build_fabric
-
         result = build_fabric(24, 8, copies=2, steps=100)
         store.save_result(
             "f" * 64,

@@ -10,10 +10,12 @@ from repro.campaign.spec import (
     load_spec,
     normalize_point,
     point_digest,
+    solve_point,
 )
 from repro.campaign.store import CampaignStore
 from repro.campaign.executor import run_campaign
 from repro.compose.fabric import ComposeResult
+from repro.core.serialization import graph_to_text
 
 
 def compose_spec(**overrides):
@@ -96,6 +98,36 @@ class TestRunAndReport:
         assert store.has_result(fabric_result.block_digest)
         best = store.best_for(fabric_result.block_n, fabric_result.block_r)
         assert best is not None and best.digest == fabric_result.block_digest
+
+    def test_block_takes_every_solver_field(self, tmp_path):
+        # Every solver field off its default: a field the compose branch
+        # dropped would give the block the default's digest and graph.  A
+        # (64, 9) block, because the default spec's (24, 9) block is too
+        # small for its anneal to depend on the temperatures.
+        solver = {
+            "m": 16,
+            "steps": 150,
+            "restarts": 2,
+            "seed": 5,
+            "operation": "swap",
+            "construction": "regular",
+            "initial_temperature": 0.5,
+            "final_temperature": 0.05,
+        }
+        spec = compose_spec(
+            grid={"n": [128], "r": [10]}, defaults={"block_hosts": 64, **solver}
+        )
+        run_campaign(spec, tmp_path)
+        store = CampaignStore(tmp_path, spec.name)
+        fabric_result = store.load_result(spec.digests()[0])
+        block = normalize_point(
+            {"n": fabric_result.block_n, "r": fabric_result.block_r, **solver}
+        )
+        assert fabric_result.block_digest == point_digest(block)
+        stored = store.load_result(point_digest(block))
+        expected = solve_point(block)
+        assert graph_to_text(stored.graph) == graph_to_text(expected.graph)
+        assert stored.h_aspl == expected.h_aspl
 
     def test_report_renders_compose_rows(self, tmp_path):
         spec = compose_spec()

@@ -6,10 +6,11 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hostswitch import HostSwitchGraph
+from repro.core.kernels import CSRAdjacency
 from repro.core.serialization import graph_from_text, graph_to_text
 
 
@@ -296,6 +297,19 @@ class TestCopyAndExport:
         for a in range(4):
             for b in range(4):
                 assert bool(dense[a, b]) == fig1_graph.has_switch_edge(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_legal_inputs())
+    @example((4, 3, [(0, 1), (1, 2)], [0]))  # switch 3 is isolated
+    @example((46_341, 3, [(46_340, 0), (12_345, 46_340), (2, 1)], []))  # m * m >= 2**31
+    def test_switch_csr_equals_csr_from_edges(self, inputs):
+        m, r, edges, hosts = inputs
+        g = _per_edge_build(m, r, edges, hosts)
+        ref = CSRAdjacency.from_edges(m, g.switch_edges())
+        indptr, indices = g.switch_csr_arrays()
+        assert indptr.dtype == indices.dtype == np.int32
+        assert np.array_equal(indptr, ref.indptr)
+        assert np.array_equal(indices, ref.indices)
 
     def test_to_networkx_roundtrip_counts(self, fig1_graph):
         nxg = fig1_graph.to_networkx()
