@@ -88,6 +88,7 @@ def solve_odp(
     """
     check_positive_int(num_vertices, "num_vertices")
     check_positive_int(degree, "degree")
+    check_positive_int(restarts, "restarts")
     if degree >= num_vertices:
         raise ValueError(
             f"degree d={degree} must be < num_vertices n={num_vertices}"
@@ -97,7 +98,7 @@ def solve_odp(
         schedule = AnnealingSchedule()
 
     best: AnnealingResult | None = None
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         edges = random_regular_switch_topology(num_vertices, degree, seed=rng)
         start = _embed(num_vertices, degree, edges)
         result = anneal(

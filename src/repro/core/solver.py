@@ -14,17 +14,19 @@ master ``SeedSequence`` so serial and parallel runs return the same best
 graph.
 
 Every restart — serial or parallel — reports a :class:`RestartSummary` on
-:attr:`ORPSolution.restarts`, and when a ``telemetry`` registry is supplied
-each worker anneals under a private registry whose snapshot is merged back
-into the caller's, so a ``jobs=4`` run accounts for every restart's
-proposals exactly like a serial one.
+:attr:`ORPSolution.restarts`.  Serial restarts anneal under the caller's
+``telemetry`` registry, so their records reach its sinks as they happen and
+each ``anneal.run`` span nests under ``solver.anneal_restarts``.  Only pool
+workers, which cannot write to the caller's sinks, anneal under a private
+registry whose snapshot the caller merges, so a ``jobs=4`` run accounts for
+every restart's proposals exactly like a serial one.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -87,54 +89,57 @@ def _run_restart(
     r: int,
     schedule: AnnealingSchedule | None,
     target: float,
+    operation: str,
+    construction: str,
     child: np.random.SeedSequence,
     index: int,
-    collect: bool,
-    operation: str = "two-neighbor-swing",
-    construction: str = "random",
-    *,
-    checkpoint_every: int = 0,
-    checkpoint_callback: Any = None,
-    resume_state: dict[str, Any] | None = None,
-) -> tuple[AnnealingResult, dict[str, Any] | None]:
-    """One annealing restart (module-level so process pools can pickle it).
+    telemetry: TelemetryRegistry,
+    checkpointer: Any = None,
+) -> AnnealingResult:
+    """One annealing restart inside an ``anneal.run`` span on ``telemetry``.
 
-    When ``collect`` is set, the restart anneals under a private sink-less
-    :class:`TelemetryRegistry` whose :meth:`~TelemetryRegistry.snapshot` is
-    returned (a plain dict, so it pickles back from pool workers) for the
-    parent to :meth:`~TelemetryRegistry.merge`.
-
-    On resume the starting graph is rebuilt (consuming the same RNG draws
-    as the original run) and then :func:`anneal` overwrites both the graph
-    and the RNG state from the checkpoint, so the trajectory continues
-    bit-identically.
+    With a ``checkpointer`` the restart saves checkpoints as it goes and
+    resumes from the last one: the starting graph is rebuilt (consuming the
+    same RNG draws as the original run) and then :func:`anneal` overwrites
+    both the graph and the RNG state from the checkpoint, so the trajectory
+    continues bit-identically.
     """
     rng = np.random.default_rng(child)
     if construction == "regular":
         start = random_regular_host_switch_graph(n, m, r, seed=rng)
     else:
         start = random_host_switch_graph(n, m, r, seed=rng)
-    worker_tel = TelemetryRegistry(f"restart-{index}") if collect else None
-    # The "anneal.run" span makes each restart a root of the trace's span
-    # forest, so flamegraph roots line up with AnnealingResult.wall_time_s.
-    span = (
-        worker_tel.span("anneal.run", index=index, n=n, m=m, r=r)
-        if worker_tel is not None
-        else nullcontext()
-    )
-    with span:
-        result = anneal(
+    resume: dict[str, Any] = {}
+    if checkpointer is not None:
+        resume = dict(
+            checkpoint_every=int(checkpointer.checkpoint_every),
+            checkpoint_callback=partial(checkpointer.save_checkpoint, index),
+            resume_state=checkpointer.resume_state(index),
+        )
+    with telemetry.span("anneal.run", index=index, n=n, m=m, r=r):
+        return anneal(
             start,
             operation=operation,
             schedule=schedule,
             seed=rng,
             target=target,
-            telemetry=worker_tel,
-            checkpoint_every=checkpoint_every,
-            checkpoint_callback=checkpoint_callback,
-            resume_state=resume_state,
+            telemetry=telemetry,
+            **resume,
         )
-    return result, (worker_tel.snapshot() if worker_tel is not None else None)
+
+
+def _pool_restart(
+    collect: bool, *restart: Any
+) -> tuple[AnnealingResult, dict[str, Any]]:
+    """Process-pool entry: :func:`_run_restart` under a private registry.
+
+    A pool worker cannot write to the parent's sinks, so a traced restart
+    (``collect``) anneals under its own sink-less registry and returns its
+    snapshot, a plain dict that pickles, for the parent to merge; an
+    untraced one returns an empty snapshot.
+    """
+    tel = TelemetryRegistry("restart") if collect else NULL_TELEMETRY
+    return _run_restart(*restart, telemetry=tel), tel.snapshot()
 
 
 def _restart_summary(
@@ -214,8 +219,8 @@ def solve_orp(
     schedule:
         Annealing schedule (default :class:`AnnealingSchedule`()).
     restarts:
-        Independent annealing runs; the best result is kept (ties break to
-        the lowest restart index).
+        Independent annealing runs (at least one); the best result is kept
+        (ties break to the lowest restart index).
     jobs:
         Worker processes for the restart fan-out.  Restart seeds are
         spawned from one master :class:`numpy.random.SeedSequence`, so any
@@ -231,11 +236,13 @@ def solve_orp(
         pipeline) or ``"regular"`` (``m | n`` hosts per switch with a random
         k-regular core).
     telemetry:
-        Optional :class:`repro.obs.TelemetryRegistry`.  Each restart then
-        anneals under a private worker registry (in-process or in a pool
-        worker) whose snapshot is merged into this one, and one
-        ``"solver.restart"`` event is emitted per restart — ``jobs > 1``
-        loses no visibility.
+        Optional :class:`repro.obs.TelemetryRegistry`.  Serial restarts
+        anneal under it directly; ``jobs > 1`` pool workers anneal under
+        private registries whose snapshots are merged into it, so either
+        way it accounts for every restart.  One ``"solver.restart"`` event
+        per finished restart, in index order, carries the restart's
+        :class:`RestartSummary` fields plus ``n``, ``r``, ``m``,
+        ``restarts`` and the running ``best_h_aspl``.
     checkpointer:
         Optional checkpoint/resume driver (duck-typed; see
         :class:`repro.campaign.checkpoint.PointCheckpointer`).  Needs an
@@ -254,6 +261,8 @@ def solve_orp(
     the clique construction, both provably optimal (Section 3.2 and the
     Appendix).
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if construction not in _CONSTRUCTIONS:
@@ -310,111 +319,56 @@ def solve_orp(
     m_predicted, _ = optimal_switch_count(n, r)
     m_used = m if m is not None else m_predicted
 
-    children = _restart_seed_sequences(seed, max(1, restarts))
-    count = len(children)
-    collect = tel.enabled
+    children = _restart_seed_sequences(seed, restarts)
+    runs: list[AnnealingResult] = []
+    summaries: list[RestartSummary] = []
 
-    # Streamed on the *parent* registry so a live JSONL sink sees restart
-    # completion as it happens (worker registries buffer until merge).
-    progress_best = float("inf")
-
-    def note_progress(done: int, run: AnnealingResult) -> None:
-        nonlocal progress_best
-        if not collect:
-            return
-        progress_best = min(progress_best, run.h_aspl)
-        tel.event(
-            "solver.progress",
-            restarts_done=done,
-            restarts=count,
-            n=n, r=r, m=m_used,
-            h_aspl=run.h_aspl,
-            best_h_aspl=progress_best,
-        )
-
-    with tel.span("solver.anneal_restarts", n=n, r=r, m=m_used,
-                  restarts=count, jobs=jobs):
-        if jobs > 1 and count > 1:
-            workers = min(jobs, count)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(
-                    pool.map(
-                        _run_restart,
-                        [n] * count,
-                        [m_used] * count,
-                        [r] * count,
-                        [schedule] * count,
-                        [a_lb] * count,
-                        children,
-                        range(count),
-                        [collect] * count,
-                        [operation] * count,
-                        [construction] * count,
-                    )
-                )
-            for i, (run, _) in enumerate(outcomes):
-                note_progress(i + 1, run)
-        elif checkpointer is not None:
-            outcomes = []
-            for i, child in enumerate(children):
-                cached = checkpointer.restart_result(i)
-                if cached is not None:
-                    outcomes.append((cached, None))
-                    note_progress(i + 1, cached)
-                    continue
-                run, snap = _run_restart(
-                    n, m_used, r, schedule, a_lb, child, i, collect,
-                    operation, construction,
-                    checkpoint_every=int(checkpointer.checkpoint_every),
-                    checkpoint_callback=(
-                        lambda state, i=i: checkpointer.save_checkpoint(i, state)
-                    ),
-                    resume_state=checkpointer.resume_state(i),
-                )
-                checkpointer.restart_done(i, run)
-                outcomes.append((run, snap))
-                note_progress(i + 1, run)
-        else:
-            outcomes = []
-            for i, child in enumerate(children):
-                outcome = _run_restart(
-                    n, m_used, r, schedule, a_lb, child, i, collect,
-                    operation, construction,
-                )
-                outcomes.append(outcome)
-                note_progress(i + 1, outcome[0])
-
-    runs = [run for run, _ in outcomes]
-    summaries = [
-        _restart_summary(i, child, run)
-        for i, (child, run) in enumerate(zip(children, runs))
-    ]
-    if collect:
-        for (_, snap), summary in zip(outcomes, summaries):
-            if snap is not None:
-                tel.merge(snap)
+    def finished(run: AnnealingResult) -> None:
+        """Record the next restart and report it as one ``solver.restart``."""
+        index = len(runs)
+        summary = _restart_summary(index, children[index], run)
+        runs.append(run)
+        summaries.append(summary)
+        if tel.enabled:
             tel.event(
                 "solver.restart",
-                index=summary.index,
-                seed_spawn_key=list(summary.seed_spawn_key),
-                initial_h_aspl=summary.initial_h_aspl,
-                h_aspl=summary.h_aspl,
-                steps=summary.steps,
-                accepted=summary.accepted,
-                rejected=summary.rejected,
-                wall_time_s=summary.wall_time_s,
+                n=n, r=r, m=m_used, restarts=restarts,
+                **asdict(summary) | {"seed_spawn_key": list(summary.seed_spawn_key)},
+                best_h_aspl=min(s.h_aspl for s in summaries),
             )
 
-    # Strict < in index order: parallel and serial runs pick the same winner.
-    best = runs[0]
-    for result in runs[1:]:
-        if result.h_aspl < best.h_aspl:
-            best = result
+    with tel.span("solver.anneal_restarts", n=n, r=r, m=m_used,
+                  restarts=restarts, jobs=jobs):
+        if jobs > 1 and restarts > 1:
+            entry = partial(
+                _pool_restart, tel.enabled,
+                n, m_used, r, schedule, a_lb, operation, construction,
+            )
+            with ProcessPoolExecutor(max_workers=min(jobs, restarts)) as pool:
+                outcomes = list(pool.map(entry, children, range(restarts)))
+            for run, snapshot in outcomes:
+                tel.merge(snapshot)
+                finished(run)
+        else:
+            for i, child in enumerate(children):
+                run = None if checkpointer is None else checkpointer.restart_result(i)
+                if run is None:
+                    run = _run_restart(
+                        n, m_used, r, schedule, a_lb, operation, construction,
+                        child, i, tel, checkpointer,
+                    )
+                    if checkpointer is not None:
+                        checkpointer.restart_done(i, run)
+                finished(run)
 
-    if collect:
+    # The first restart with the lowest h-ASPL: serial and parallel runs
+    # pick the same winner.
+    best = min(runs, key=lambda run: run.h_aspl)
+
+    if tel.enabled:
         tel.event(
             "solver.done",
-            n=n, r=r, m=m_used, restarts=count, jobs=jobs,
+            n=n, r=r, m=m_used, restarts=restarts, jobs=jobs,
             best_h_aspl=best.h_aspl,
             h_aspl_lower_bound=a_lb,
             gap=best.h_aspl / a_lb - 1.0,

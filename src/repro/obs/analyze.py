@@ -4,10 +4,12 @@ A ``repro.obs/v1`` trace records every span at *exit* time with its
 duration, nesting depth, and parent span name, so a JSONL stream holds the
 span forest in post-order: children always precede their parent.
 :func:`build_span_trees` reconstructs the forest from that order alone —
-no span IDs needed — and is **merge-aware**: snapshots merged in from
-``solve_orp(jobs=)`` pool workers or campaign executors re-emit each
-worker's buffered spans as a contiguous run rooted at depth 0, so every
-worker contributes its own trees and aggregation sums across all of them.
+no span IDs needed.  A serial solve is one tree: each restart's
+``anneal.run`` nests under ``solver.anneal_restarts``.  The builder is also
+**merge-aware**: snapshots merged in from ``solve_orp(jobs=)`` pool workers
+or campaign pool workers re-emit each worker's buffered spans as a
+contiguous run rooted at depth 0, so every worker contributes its own trees
+and aggregation sums across all of them.
 
 On top of the forest:
 

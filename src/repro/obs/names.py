@@ -42,7 +42,6 @@ INSTRUMENTS: frozenset[str] = frozenset(
         # repro.core.solver
         "solver.anneal_restarts",
         "solver.done",
-        "solver.progress",
         "solver.restart",
         # repro.partition
         "partition.done",

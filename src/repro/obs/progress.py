@@ -10,7 +10,7 @@ Two complementary sources power ``repro monitor PATH``:
   into rolling aggregates:
   annealing step/acceptance/proposals-per-second from
   ``anneal.heartbeat``/``anneal.phase``, restart completion and the best
-  h-ASPL per ``(n, r)`` from ``solver.progress``, point counts from
+  h-ASPL per ``(n, r)`` from ``solver.restart``, point counts from
   ``campaign.progress``, and dropped-event warnings from
   ``obs.events_dropped``.
 - **Campaign store directories**.  :class:`StoreProgress` rescans the
@@ -22,11 +22,12 @@ Two complementary sources power ``repro monitor PATH``:
 :func:`monitor` renders either source as a refreshing terminal dashboard;
 ``once=True`` emits a single snapshot (the CI / scripting mode).
 
-Worker registries buffer their events until the parent merges them at the
-end of a restart or point, so a live trace is dominated by the *parent*-
-side ``solver.progress`` / ``campaign.progress`` / ``campaign.heartbeat``
-stream; the store view fills the gap for long single points because
-checkpoints land continuously.
+A serial solve or campaign writes every record to the trace as it
+happens.  Pool workers (``solve_orp(jobs=)``, ``run_campaign(jobs=)``)
+buffer theirs until the parent merges them when the pool is done, so
+during a parallel run the trace carries only the parent's
+``campaign.progress`` / ``campaign.heartbeat`` stream; the store view fills
+that gap because checkpoints land continuously.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ class ProgressAggregator:
         self.last_solver: dict[str, Any] | None = None
         self.last_campaign: dict[str, Any] | None = None
         self.campaign_heartbeats = 0
-        self.restarts_seen = 0
         self.best_by_nr: dict[tuple[int, int], float] = {}
 
     def update(self, records: list[dict[str, Any]]) -> None:
@@ -117,13 +117,11 @@ class ProgressAggregator:
                 self.last_heartbeat = fields
             elif name == "anneal.phase":
                 self.last_phase = fields
-            elif name == "solver.progress":
+            elif name == "solver.restart":
                 self.last_solver = fields
                 self._note_best(fields, "best_h_aspl")
             elif name == "solver.done":
                 self._note_best(fields, "best_h_aspl")
-            elif name == "solver.restart":
-                self.restarts_seen += 1
             elif name == "campaign.progress":
                 self.last_campaign = fields
             elif name == "campaign.heartbeat":
@@ -161,13 +159,11 @@ class ProgressAggregator:
                 f"{ph.get('proposals_per_sec', 0.0):.0f} proposals/s"
             )
         sv = self.last_solver
-        if sv is not None and "restarts_done" in sv:
+        if sv is not None:
             lines.append(
-                f"solver: restart {sv['restarts_done']}/{sv.get('restarts', '?')} done, "
-                f"best h-ASPL {sv.get('best_h_aspl', float('nan')):.4f}"
+                f"solver: restart {sv.get('index', -1) + 1}/{sv.get('restarts', '?')} "
+                f"done, best h-ASPL {sv.get('best_h_aspl', float('nan')):.4f}"
             )
-        elif self.restarts_seen:
-            lines.append(f"solver: {self.restarts_seen} restart(s) reported")
         cp = self.last_campaign
         if cp is not None:
             lines.append(

@@ -4,15 +4,17 @@ The registry is the single mutable hub of :mod:`repro.obs`.  Instrumented
 code asks it for named *instruments* (get-or-create), emits structured
 *events*, and opens *spans* (wall-clock traced regions, arbitrarily
 nested).  Sinks attached to the registry receive every event/span as a
-plain JSON-ready dict; metric instruments are flushed to the sinks as one
-dict each on :meth:`TelemetryRegistry.flush` / :meth:`close`.
+plain JSON-ready dict when it happens; metric instruments are flushed to
+the sinks as one dict each on :meth:`TelemetryRegistry.flush` /
+:meth:`close`.  A registry with no sink (a pool worker's) buffers its
+events instead, up to a cap past which it counts ``obs.events_dropped``.
 
 Two properties the hot paths rely on:
 
-- **Disabled is free.**  ``TelemetryRegistry(enabled=False)`` (and the
-  :data:`NULL_TELEMETRY` singleton) short-circuits every operation; callers
-  in inner loops additionally guard on :attr:`TelemetryRegistry.enabled`
-  so the disabled path costs one attribute read.
+- **Disabled is free.**  The :data:`NULL_TELEMETRY` singleton (a
+  :class:`NullTelemetry`) makes every operation a no-op; callers in inner
+  loops additionally guard on ``enabled`` so the disabled path costs one
+  attribute read.
 - **Merge is associative.**  :meth:`snapshot` produces a plain dict that
   pickles across process boundaries; :meth:`merge` folds it back in
   (counters sum, timers combine, histograms add bucket-wise, buffered
@@ -47,9 +49,8 @@ __all__ = [
     "clock",
 ]
 
-#: Cap on buffered events per registry; beyond it events still reach the
-#: sinks but are no longer kept for snapshot()/merge() (dropped count is
-#: tracked in the ``obs.events_dropped`` counter).
+#: Cap on buffered events per sink-less registry; beyond it events are
+#: dropped and counted in the ``obs.events_dropped`` counter.
 _EVENT_BUFFER_CAP = 50_000
 
 
@@ -259,9 +260,10 @@ class Span:
 class TelemetryRegistry:
     """Named instruments + sinks + span stack (see module docstring)."""
 
-    def __init__(self, name: str = "run", *, enabled: bool = True) -> None:
+    enabled = True
+
+    def __init__(self, name: str = "run") -> None:
         self.name = name
-        self.enabled = enabled
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._timers: dict[str, Timer] = {}
@@ -277,12 +279,13 @@ class TelemetryRegistry:
         self._sinks.append(sink)
 
     def _emit(self, event: dict[str, Any]) -> None:
-        if len(self._events) < _EVENT_BUFFER_CAP:
+        if self._sinks:
+            for sink in self._sinks:
+                sink.write(event)
+        elif len(self._events) < _EVENT_BUFFER_CAP:
             self._events.append(event)
         else:
             self.counter("obs.events_dropped").inc()
-        for sink in self._sinks:
-            sink.write(event)
 
     # -- instruments ---------------------------------------------------- #
 
@@ -317,9 +320,7 @@ class TelemetryRegistry:
     # -- events / spans / time ------------------------------------------ #
 
     def event(self, name: str, **fields: Any) -> None:
-        """Emit one structured event to the buffer and every sink."""
-        if not self.enabled:
-            return
+        """Emit one structured event to every sink (or the buffer if none)."""
         self._emit(
             {
                 "schema": SCHEMA,
@@ -341,7 +342,11 @@ class TelemetryRegistry:
     # -- snapshot / merge / flush --------------------------------------- #
 
     def snapshot(self) -> dict[str, Any]:
-        """Plain-dict state: metrics + buffered events (pickles cleanly)."""
+        """Plain-dict state: metrics + buffered events (pickles cleanly).
+
+        Only a sink-less registry buffers events, so a registry with sinks
+        snapshots its metrics alone.
+        """
         return {
             "schema": SCHEMA,
             "name": self.name,
@@ -354,7 +359,7 @@ class TelemetryRegistry:
 
     def merge(self, snap: dict[str, Any]) -> None:
         """Fold a :meth:`snapshot` (e.g. from a worker process) into this
-        registry; buffered events are re-emitted to this registry's sinks."""
+        registry; its buffered events are re-emitted here, in order."""
         for name, data in snap.get("counters", {}).items():
             self.counter(name).merge(data)
         for name, data in snap.get("gauges", {}).items():

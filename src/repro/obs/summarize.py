@@ -114,10 +114,14 @@ def _restart_section(events: list[dict[str, Any]]) -> list[str]:
                 if ev.get("kind") == "event" and ev.get("name") == "solver.restart"]
     if not restarts:
         return []
+    # Trace order: a solve reports its restarts in index order, so a
+    # campaign trace keeps each point's rows together.
     rows = []
-    for ev in sorted(restarts, key=lambda e: e["fields"].get("index", 0)):
+    for ev in restarts:
         f = ev["fields"]
         rows.append([
+            f.get("n"),
+            f.get("r"),
             f.get("index"),
             f"{f.get('initial_h_aspl', float('nan')):.4f}",
             f"{f.get('h_aspl', float('nan')):.4f}",
@@ -126,7 +130,8 @@ def _restart_section(events: list[dict[str, Any]]) -> list[str]:
             f"{f.get('wall_time_s', 0.0):.2f}",
         ])
     table = format_table(
-        ["restart", "initial h-ASPL", "best h-ASPL", "accepted", "rejected", "wall s"],
+        ["n", "r", "restart", "initial h-ASPL", "best h-ASPL", "accepted",
+         "rejected", "wall s"],
         rows,
         title="per-restart summaries",
     )

@@ -56,6 +56,11 @@ class TestSolveODP:
         with pytest.raises(ValueError, match="must be <"):
             solve_odp(8, 8)
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_invalid_restarts_rejected(self, restarts):
+        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+            solve_odp(16, 4, restarts=restarts)
+
     def test_deterministic_under_seed(self):
         a = solve_odp(16, 4, schedule=AnnealingSchedule(num_steps=200), seed=7)
         b = solve_odp(16, 4, schedule=AnnealingSchedule(num_steps=200), seed=7)

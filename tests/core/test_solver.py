@@ -109,3 +109,9 @@ class TestParallelRestarts:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             solve_orp(48, 8, jobs=0, seed=0)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_invalid_restarts_rejected(self, restarts):
+        # No silent clamp to one restart.
+        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+            solve_orp(40, 6, restarts=restarts, seed=0)

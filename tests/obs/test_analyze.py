@@ -185,8 +185,9 @@ class TestAnalyzeReport:
 
 class TestEndToEnd:
     def test_flamegraph_root_time_matches_wall_time(self):
-        """Acceptance: folded-stack root cumulative time is within 5% of
-        the summed AnnealingResult.wall_time_s of the traced solve."""
+        """Acceptance: the serial solve is one tree, and the folded-stack
+        time of its anneal.run subtrees is within 5% of the summed
+        AnnealingResult.wall_time_s of the traced solve."""
         from repro.core.annealing import AnnealingSchedule
         from repro.core.solver import solve_orp
 
@@ -198,10 +199,11 @@ class TestEndToEnd:
             restarts=2, seed=3, telemetry=tel,
         )
         tel.close()
-        roots = build_span_trees(sink.events)
-        anneal_roots = [r for r in roots if r.name == "anneal.run"]
-        assert len(anneal_roots) == len(sol.restarts) == 2
-        folded = folded_stacks(anneal_roots)
+        (root,) = build_span_trees(sink.events)
+        assert root.name == "solver.anneal_restarts"
+        anneal_runs = [c for c in root.children if c.name == "anneal.run"]
+        assert len(anneal_runs) == len(sol.restarts) == 2
+        folded = folded_stacks(anneal_runs)
         folded_total = sum(folded.values())
         wall_total = sum(r.wall_time_s for r in sol.restarts)
         assert folded_total == pytest.approx(wall_total, rel=0.05)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.core.annealing import AnnealingSchedule, anneal
 from repro.core.construct import random_host_switch_graph
 from repro.core.incremental import IncrementalEvaluator
-from repro.obs import MemorySink, TelemetryRegistry
+from repro.obs import MemorySink, NullTelemetry, TelemetryRegistry
 from repro.partition.kway import partition_host_switch
 from repro.simulation.traffic import run_traffic
 
@@ -99,11 +99,10 @@ class TestEvaluatorInstrumentation:
         assert hist.count == 0  # nothing proposed yet
 
 
-class _CountingDisabledRegistry(TelemetryRegistry):
+class _CountingDisabledRegistry(NullTelemetry):
     """Disabled registry that counts instrument/event/span API calls."""
 
     def __init__(self) -> None:
-        super().__init__("counting", enabled=False)
         self.calls = 0
 
     def counter(self, name):
@@ -145,7 +144,7 @@ class TestDisabledOverheadGuard:
     def test_disabled_run_identical_to_untraced(self):
         g = random_host_switch_graph(20, 6, 8, seed=3)
         plain = _anneal(g, 300)
-        disabled = _anneal(g, 300, telemetry=TelemetryRegistry(enabled=False))
+        disabled = _anneal(g, 300, telemetry=NullTelemetry())
         assert disabled.h_aspl == plain.h_aspl
         assert disabled.accepted == plain.accepted
 

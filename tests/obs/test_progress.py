@@ -140,15 +140,15 @@ class TestProgressAggregator:
         assert "acceptance 0.250" in out
         assert "250 proposals/s" in out
 
-    def test_solver_progress_tracks_best_per_nr(self):
+    def test_solver_restart_tracks_best_per_nr(self):
         agg = ProgressAggregator()
         agg.update(
             [
-                event("solver.progress", restarts_done=1, restarts=2,
+                event("solver.restart", index=0, restarts=2,
                       n=32, r=6, h_aspl=4.5, best_h_aspl=4.5),
-                event("solver.progress", restarts_done=2, restarts=2,
+                event("solver.restart", index=1, restarts=2,
                       n=32, r=6, h_aspl=4.3, best_h_aspl=4.3),
-                event("solver.progress", restarts_done=1, restarts=1,
+                event("solver.restart", index=0, restarts=1,
                       n=64, r=8, h_aspl=3.9, best_h_aspl=3.9),
             ]
         )

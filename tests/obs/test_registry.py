@@ -71,6 +71,7 @@ class TestInstruments:
 
 class TestEventsAndSinks:
     def test_event_reaches_sink_and_buffer(self):
+        # An event goes to the sinks when there are any, else to the buffer.
         reg = TelemetryRegistry()
         sink = MemorySink()
         reg.add_sink(sink)
@@ -78,26 +79,42 @@ class TestEventsAndSinks:
         assert len(sink.events) == 1
         assert sink.events[0]["kind"] == "event"
         assert sink.events[0]["fields"] == {"a": 1}
-        assert reg.snapshot()["events"] == sink.events
+        assert reg.snapshot()["events"] == []
+
+        worker = TelemetryRegistry("worker")
+        worker.event("hello", a=1)
+        (buffered,) = worker.snapshot()["events"]
+        assert buffered["fields"] == {"a": 1}
 
     def test_disabled_registry_emits_nothing(self):
-        reg = TelemetryRegistry(enabled=False)
+        reg = NullTelemetry()
         sink = MemorySink()
         reg.add_sink(sink)
         reg.event("hello")
+        with reg.span("s"):
+            pass
+        reg.counter("c").inc()
+        reg.close()
         assert sink.events == []
-        assert reg.snapshot()["events"] == []
+        assert reg.snapshot() == {}
 
     def test_event_buffer_cap_drops_but_still_sinks(self, monkeypatch):
         monkeypatch.setattr(registry_module, "_EVENT_BUFFER_CAP", 3)
+        worker = TelemetryRegistry("worker")
+        for i in range(5):
+            worker.event("e", i=i)
+        assert len(worker.snapshot()["events"]) == 3
+        assert worker.counter("obs.events_dropped").value == 2
+
+        # A registry with a sink keeps no buffer, so nothing is dropped.
         reg = TelemetryRegistry()
         sink = MemorySink()
         reg.add_sink(sink)
         for i in range(5):
             reg.event("e", i=i)
-        assert len(reg.snapshot()["events"]) == 3
-        assert reg.counter("obs.events_dropped").value == 2
-        assert len(sink.events) == 5  # sinks see everything
+        assert len(sink.events) == 5
+        assert reg.snapshot()["events"] == []
+        assert "obs.events_dropped" not in reg.snapshot()["counters"]
 
     def test_flush_writes_one_record_per_metric(self):
         reg = TelemetryRegistry()

@@ -1,9 +1,12 @@
-"""Restart summaries and the jobs>1 worker-registry merge in solve_orp."""
+"""Restart summaries, the live serial trace, and the jobs>1 worker-registry
+merge in solve_orp."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.solver import ORPSolution, RestartSummary, solve_orp
-from repro.obs import MemorySink, TelemetryRegistry
+from repro.obs import MemorySink, TelemetryRegistry, build_span_trees, span_rollup
 
 # Small non-trivial instance: n > r and no clique regime, so the annealer
 # actually runs.  Kept tiny so the pool fan-out test stays fast.
@@ -68,6 +71,7 @@ class TestTelemetryMerge:
         assert [e["fields"]["index"] for e in restarts] == [0, 1, 2]
         (done,) = [e for e in sink.events if e.get("name") == "solver.done"]
         assert done["fields"]["best_h_aspl"] == sol.h_aspl
+        assert not [e for e in sink.events if e.get("name") == "solver.progress"]
 
     def test_parallel_merge_matches_serial_totals(self):
         _, serial_reg, _ = self._traced(jobs=1)
@@ -80,27 +84,81 @@ class TestTelemetryMerge:
         p_hist = parallel_reg._histograms["anneal.delta_accepted"]
         assert p_hist.counts == s_hist.counts
         restarts = [e for e in psink.events if e.get("name") == "solver.restart"]
-        assert len(restarts) == 3
+        assert [e["fields"]["index"] for e in restarts] == [0, 1, 2]
 
     def test_restart_events_mirror_summaries(self):
-        sol, _, sink = self._traced(jobs=2)
-        events = sorted(
-            (e["fields"] for e in sink.events
-             if e.get("name") == "solver.restart"),
-            key=lambda f: f["index"],
-        )
-        for f, summary in zip(events, sol.restarts):
-            assert f["h_aspl"] == summary.h_aspl
-            assert f["accepted"] == summary.accepted
-            assert f["rejected"] == summary.rejected
+        for jobs in (1, 2):
+            sol, _, sink = self._traced(jobs=jobs)
+            events = [e["fields"] for e in sink.events
+                      if e.get("name") == "solver.restart"]
+            assert len(events) == len(sol.restarts) == 3
+            best = float("inf")
+            for f, summary in zip(events, sol.restarts):
+                assert f["index"] == summary.index
+                assert f["seed_spawn_key"] == list(summary.seed_spawn_key)
+                assert f["h_aspl"] == summary.h_aspl
+                assert f["accepted"] == summary.accepted
+                assert f["rejected"] == summary.rejected
+                assert (f["n"], f["r"], f["m"], f["restarts"]) == (N, R, 10, 3)
+                best = min(best, summary.h_aspl)
+                assert f["best_h_aspl"] == best
 
     def test_span_wraps_the_fan_out(self):
         _, _, sink = self._traced(jobs=1)
         spans = [e for e in sink.events if e.get("kind") == "span"]
-        # Each restart runs under its own worker-root anneal.run span;
-        # worker snapshots merge after the parent's fan-out span closes.
+        # Serial restarts anneal under the caller's registry, so each
+        # anneal.run closes inside the fan-out span.
         assert [s["name"] for s in spans] == [
-            "solver.anneal_restarts"
-        ] + ["anneal.run"] * 3
-        assert spans[0]["attrs"]["restarts"] == 3
-        assert all(s["depth"] == 0 for s in spans)
+            "anneal.run"
+        ] * 3 + ["solver.anneal_restarts"]
+        assert spans[-1]["attrs"]["restarts"] == 3
+        assert spans[-1]["depth"] == 0
+        assert all(
+            (s["depth"], s["parent"]) == (1, "solver.anneal_restarts")
+            for s in spans[:-1]
+        )
+
+
+class TestSerialTraceIsLive:
+    def test_records_arrive_as_they_happen_in_one_tree(self):
+        from repro.core.annealing import AnnealingSchedule
+
+        reg = TelemetryRegistry()
+        sink = MemorySink()
+        reg.add_sink(sink)
+        solve_orp(N, R, m=10, restarts=2, seed=11,
+                  schedule=AnnealingSchedule(num_steps=400), telemetry=reg)
+        names = [e["name"] for e in sink.events]
+        fan_out = names.index("solver.anneal_restarts")
+        heartbeats = [i for i, name in enumerate(names) if name == "anneal.heartbeat"]
+        assert heartbeats and max(heartbeats) < fan_out
+        runs = [e for e in sink.events if e["name"] == "anneal.run"]
+        assert [(s["depth"], s["parent"]) for s in runs] == [
+            (1, "solver.anneal_restarts")
+        ] * 2
+        # One tree: every second is counted once.
+        (root,) = build_span_trees(sink.events)
+        self_s = sum(row["self_s"] for row in span_rollup([root]).values())
+        assert self_s == pytest.approx(root.duration_s, rel=0.01)
+
+    def test_campaign_point_heartbeats_precede_its_span(self, tmp_path):
+        from repro.campaign.executor import run_campaign
+        from repro.campaign.spec import load_spec
+
+        spec = load_spec({
+            "name": "live", "grid": {"n": [24], "r": [6], "seed": [0, 1]},
+            "defaults": {"steps": 300, "restarts": 2},
+        })
+        reg = TelemetryRegistry()
+        sink = MemorySink()
+        reg.add_sink(sink)
+        run_campaign(spec, tmp_path, telemetry=reg, jobs=1)
+        names = [e["name"] for e in sink.events]
+        fan_outs = [i for i, name in enumerate(names) if name == "solver.anneal_restarts"]
+        assert len(fan_outs) == 2
+        # Each point's heartbeats land between the previous point's span
+        # and its own.
+        for start, end in zip([-1] + fan_outs, fan_outs):
+            beats = [name for name in names[start + 1:end] if name == "anneal.heartbeat"]
+            assert beats, (start, end)
+        assert "anneal.heartbeat" not in names[fan_outs[-1]:]

@@ -72,21 +72,25 @@ class TestSummarizeSections:
         assert "rows repaired / move" in out and "2.50" in out
         assert "fallback rebuilds" in out
 
-    def test_restart_table_sorted_by_index(self):
+    def test_restart_table_groups_rows_by_point(self):
+        # A two-point campaign trace: each solve reports its restarts in
+        # index order, one point after the other.
         def populate(reg):
-            for index in (1, 0):
-                reg.event(
-                    "solver.restart", index=index, initial_h_aspl=4.0,
-                    h_aspl=3.5, steps=100, accepted=30, rejected=70,
-                    wall_time_s=1.0,
-                )
+            for n in (24, 32):
+                for index in (0, 1):
+                    reg.event(
+                        "solver.restart", n=n, r=6, m=8, restarts=2,
+                        index=index, initial_h_aspl=4.0, h_aspl=3.5,
+                        steps=100, accepted=30, rejected=70, wall_time_s=1.0,
+                        best_h_aspl=3.5,
+                    )
 
         out = summarize_events(_trace(populate))
         assert "per-restart summaries" in out
-        lines = [ln for ln in out.splitlines() if "3.5000" in ln]
-        assert len(lines) == 2
-        # Row for restart 0 renders before restart 1 despite emit order.
-        assert lines[0].strip().startswith("0")
+        rows = [ln.split("|") for ln in out.splitlines() if "3.5000" in ln]
+        assert [[cell.strip() for cell in row[:3]] for row in rows] == [
+            ["24", "6", "0"], ["24", "6", "1"], ["32", "6", "0"], ["32", "6", "1"],
+        ]
 
     def test_simulation_section(self):
         def populate(reg):
@@ -174,15 +178,20 @@ class TestDroppedEvents:
 
         assert "dropped" not in summarize_events(_trace(populate))
 
-    def test_buffer_overflow_increments_dropped_counter(self):
+    def test_buffer_overflow_increments_dropped_counter(self, monkeypatch):
+        # Only a sink-less worker buffers; what it drops past the cap is
+        # lost, and its count reaches the parent's trace through merge.
         from repro.obs import registry as registry_mod
 
-        reg = TelemetryRegistry()
+        monkeypatch.setattr(registry_mod, "_EVENT_BUFFER_CAP", 5)
+        worker = TelemetryRegistry("worker")
+        for i in range(5 + 3):
+            worker.event("spam", i=i)
+        parent = TelemetryRegistry()
         sink = MemorySink()
-        reg.add_sink(sink)
-        cap = registry_mod._EVENT_BUFFER_CAP
-        for i in range(cap + 3):
-            reg.event("spam", i=i)
-        reg.close()
+        parent.add_sink(sink)
+        parent.merge(worker.snapshot())
+        parent.close()
         out = summarize_events(sink.events)
         assert "WARNING: 3 event(s) dropped" in out
+        assert sum(e.get("name") == "spam" for e in sink.events) == 5

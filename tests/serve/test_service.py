@@ -454,7 +454,7 @@ class TestConcurrencyControl:
 
         asyncio.run(run())
         served = {
-            e["name"] for e in tel.snapshot()["events"]
+            e["name"] for e in sink.events
             if e["name"].startswith("serve.")
         }
         assert served  # the service actually reported
