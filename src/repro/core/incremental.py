@@ -3,9 +3,11 @@
 The simulated-annealing search (paper Section 5) historically recomputed a
 full APSP over all host-bearing switches on *every* proposal, even though a
 swap or swing perturbs exactly two switch edges.  This module maintains the
-switch-graph distance matrix ``D`` across moves and repairs it instead,
-running every BFS through the one bit-parallel kernel of
-:mod:`repro.core.kernels`.
+switch-graph distance matrix ``D`` across moves and repairs it from ``D``
+itself: an edit changes one block of the matrix, and that block follows
+from the exact entries around it, so no proposal runs a BFS.  The one
+bit-parallel kernel of :mod:`repro.core.kernels` builds ``D`` and serves
+the full rebuilds described under *Fallback*.
 
 One engine does the repair: :class:`DynamicDistanceMatrix` applies edge
 removals and insertions to ``D`` in place.  :class:`IncrementalEvaluator`
@@ -14,68 +16,84 @@ is the annealer's only scorer.
 
 Repair algorithm
 ----------------
-For each **removed** edge ``{u, v}`` (processed sequentially) only sources
-``x`` whose distance to the far endpoint is forced through the edge can
-change at all:
+Edits are processed one edge at a time, removals first; every
+intermediate matrix is the exact APSP of its intermediate graph, so
+each step may trust all of ``D``.  Each edge ``{u, v}`` splits the rows
+that can change into its **two sides**, and only the cross block between
+the sides changes.
 
-- if ``d(x, v) == d(x, u) + 1`` and ``v`` has no *other* neighbour ``w``
-  with ``d(x, w) == d(x, v) - 1`` then ``d(x, v)`` must grow and row ``x``
-  is repaired by a fresh kernel BFS; symmetrically for ``u``;
-- otherwise the whole row provably keeps its distances (if the far endpoint
-  keeps an alternative predecessor at the same depth, every shortest path
-  can be rerouted through it without the removed edge).
+For a **removed** edge the near side ``N`` holds the rows ``x`` with a
+finite ``d(x, u)``, ``d(x, v) == d(x, u) + 1`` and no *other* neighbour
+``w`` of ``v`` with ``d(x, w) == d(x, v) - 1``: every shortest path from
+``x`` to ``v`` ends with the edge, so ``d(x, v)`` must grow.  The far
+side ``F`` is the mirror set through ``v``.  Every other row keeps its
+distances (if the far endpoint keeps an alternative predecessor at the
+same depth, every shortest path can be rerouted through it), and ``D``
+is symmetric, so both endpoints of a changed pair lie in ``N`` or ``F``.
+A shortest path between two rows of one side never uses the edge (for
+``x, y`` in ``N`` it would cost ``d(x, u) + 1 + d(v, y) = d(x, u) + 2 +
+d(u, y)``), so only ``N x F`` changes.  Every pair ``(x, z)`` with ``x``
+in ``N`` and ``z`` outside ``F`` is exact in ``D``, so the block follows
+by relaxation::
 
-A changed pair always has **both** endpoints in the affected set ``A``
-(if a row is unaffected, none of its entries change — and ``D`` is
-symmetric), so every stale entry lives in the ``A x A`` block.  The
-repair therefore recomputes only that block, with one batched
-multi-source BFS (``targets=A``) sharing the proposal's CSR adjacency.
+    d'(x, y) = 1 + min d'(x, z)  over the neighbours z of y
 
-For each **added** edge ``{u, v}`` distances only shrink and the classic
-single-insertion rule is exact::
+starting from ``inf`` on ``F`` and repeated until no entry drops; round
+``k`` is exact for every pair whose new path takes at most ``k - 1``
+steps inside ``F``.
 
-    D[x, y] = min(D[x, y], D[x, u] + 1 + D[v, y], D[x, v] + 1 + D[u, y])
+For an **inserted** edge distances only shrink.  Row ``x`` can only
+improve when ``|d(x, u) - d(x, v)| >= 2`` (otherwise the detour through
+the new edge is never shorter: ``d(x,u) + 1 + d(v,y) >= d(x,v) + d(v,y)
+>= d(x,y)``), so the sides are the rows with ``d(x, u) <= d(x, v) - 2``
+and the mirror set.  Within one side the detour is always longer, and
+across them only one direction can win, so the cross block needs just::
 
-Row ``x`` can only improve when ``|d(x, u) - d(x, v)| >= 2`` (otherwise
-the detour through the new edge is never shorter: ``d(x,u) + 1 + d(v,y)
->= d(x,v) + d(v,y) >= d(x,y)``), and a changed pair again has *both*
-endpoints screened in (``d'(x,y) = d(x,u)+1+d(v,y) < d(x,y) <= d(x,u) +
-d(u,y)`` forces ``d(u,y) - d(v,y) >= 2``), so the min-rule runs on the
-screened ``A x A`` block only.  Removals are repaired before
-insertions; mixing is still exact because every intermediate matrix is
-the exact APSP of its intermediate graph.
+    d'(x, y) = min(d(x, y), d(x, u) + 1 + d(v, y))
+
+The ``inf`` guard: a row that reaches neither endpoint compares ``inf ==
+inf + 1`` and ``inf <= inf - 2`` as true and would land on both sides;
+both tests require a finite distance to the side's own endpoint.  With
+the guard both sides lie in the edge's component, so each cross block is
+all finite or all ``inf``: a removal either keeps that component whole
+or splits it between the sides, and an insertion either finds its
+endpoints connected or joins their components.
 
 The undo journal
 ----------------
 ``propose`` repairs the matrix **in place** and journals every repair
-step's ``(rows, prior A x A block)`` together with the committed CSR,
-host counts and value.  ``rollback`` restores the journaled blocks in
-reverse order — which covers every modified entry, because each repair
-step only writes its own block — and reinstates the committed state.
-``commit`` simply drops the journal.  The committed CSR adjacency is
-never mutated: a proposal's CSR accumulates single-edge deltas as cheap
-copies and is kept (or dropped) wholesale, so the CSR is only ever
-built from the graph at construction.
+step's ``(rows, cols, old block, new block)`` together with the committed
+CSR, host counts and value; the old block is the one gathered to compute
+the new.  Each block is written, and restored, in both orientations
+(``rows x cols`` and its transpose).  ``rollback`` restores the journaled
+blocks in reverse order — which covers every modified entry, because
+each repair step only writes its own block — and reinstates the
+committed state.  ``commit`` simply drops the journal.  The committed CSR
+adjacency is never mutated: a proposal's CSR accumulates single-edge
+deltas as cheap copies and is kept (or dropped) wholesale, so the CSR is
+only ever built from the graph at construction.
 
 The h-ASPL itself is maintained as the running weighted sum
-``sum k_a k_b (d(a,b) + 2)``: each repair step contributes the
-integer-exact float64 quadratic form ``k[A] @ (new - old) @ k[A]`` of
-its block delta (host-count deltas of swing moves are applied on top,
-term by term), so a proposal costs O(|A|^2) instead of O(m^2).  Any
-``inf`` in sight (disconnection, or a previously disconnected committed
-state) falls back to the full double sum,
-:func:`repro.core.metrics.weighted_host_distance_sum`, which is
-bit-identical because every term of either computation is an integer
+``sum k_a k_b (d(a,b) + 2)``: each repair step contributes the exact
+integer ``2 k[rows] @ (new - old) @ k[cols]`` of its block delta
+(host-count deltas of swing moves are applied on top, term by term), so
+a proposal costs O(|N| |F|) instead of O(m^2).  A step that splits or
+joins components (one corner of its all-or-nothing block tells), or a
+committed state that was already disconnected, falls back to the full
+double sum, :func:`repro.core.metrics.weighted_host_distance_sum`, which
+is bit-identical because every term of either computation is an integer
 exactly representable in float64.  Either sum becomes the value through
 :func:`repro.core.metrics.h_aspl_from_weighted_sum`, the formula every
 h-ASPL in the package goes through.
 
 Fallback and invariants
 -----------------------
-When the affected-row count exceeds ``_FALLBACK_FRACTION * m`` the repair
-would cost as much as a rebuild, so the evaluator recomputes all rows in
-one batched BFS instead (the *exact fallback* — same kernel, all
-sources).  Either way the evaluator maintains these invariants after every
+When the rows on the sides of one proposal's removals (or of one
+``remove_edge``) exceed ``_FALLBACK_FRACTION * m``, a relaxation could
+run as many rounds as the graph is long (a ring, say), so the engine
+recomputes all rows in one batched kernel BFS instead (the *exact
+fallback*).  The evaluator and the single-edge mutators share that
+budget.  Either way the evaluator maintains these invariants after every
 ``propose``/``commit``/``rollback``:
 
 - ``D`` is the exact, symmetric switch-graph distance matrix (``inf`` for
@@ -113,8 +131,8 @@ __all__ = [
 
 Move = SwapMove | SwingMove
 _Edge = tuple[int, int]
-#: One journaled repair step: ``(rows, old block, new block, inserted)``.
-_Step = tuple[np.ndarray, np.ndarray, np.ndarray, bool]
+#: One journaled repair step: ``(rows, cols, old block, new block)``.
+_Step = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: Repair-vs-rebuild threshold: when one proposal's removals affect more
 #: than this fraction of the ``m`` rows, every row is recomputed in one
@@ -135,61 +153,88 @@ class IncrementalEvaluatorError(RuntimeError):
     """Misuse of the propose/commit/rollback protocol."""
 
 
-def _affected_sources(
+def _removal_sides(
     dist: np.ndarray, csr: CSRAdjacency, u: int, v: int
-) -> np.ndarray:
-    """Rows whose distances can change when edge ``{u, v}`` is removed.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides ``(near, far)`` of removed edge ``{u, v}``.
 
     ``dist`` is exact for the graph *with* the edge; ``csr`` already has
     it removed (so the predecessor scan below cannot see it).  Row ``x``
-    is affected iff the far endpoint sat exactly one level deeper and
-    loses its only predecessor at that depth — an exact row-level test,
-    not a superset (see the module docstring for the argument).  ``dist``
+    is on the near side iff it reaches ``u``, ``v`` sat exactly one level
+    deeper, and ``v`` loses its only predecessor at that depth; the far
+    side is the mirror test through ``v``.  Their union is exactly the
+    rows whose distances change (see the module docstring).  The
+    finiteness guard keeps rows that reach neither endpoint off both
+    sides: ``inf == inf + 1`` would otherwise put them on each.  ``dist``
     is symmetric, so the scan reads contiguous rows instead of columns.
     """
-    affected = np.zeros(dist.shape[0], dtype=bool)
+    sides = []
     for near, far in ((u, v), (v, u)):
-        through = dist[far] == dist[near] + 1.0
-        if not through.any():
-            continue
-        survivors = csr.neighbors(far)
-        if len(survivors):
-            alternative = (dist[survivors] == dist[far] - 1.0).any(axis=0)
-            through &= ~alternative
-        affected |= through
-    return np.flatnonzero(affected)
+        d_near, d_far = dist[near], dist[far]
+        through = (d_far == d_near + 1.0) & np.isfinite(d_near)
+        # ...and no surviving neighbour of ``far`` sits one level nearer x.
+        through &= np.min(dist[csr.neighbors(far)], axis=0, initial=np.inf) >= d_far
+        sides.append(np.flatnonzero(through))
+    return sides[0], sides[1]
 
 
-def _insertion_affected(dist: np.ndarray, u: int, v: int) -> np.ndarray:
-    """Rows that can improve when edge ``{u, v}`` is inserted.
+def _removal_block(
+    dist: np.ndarray, csr: CSRAdjacency, near: np.ndarray, far: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(old, new)`` ``near x far`` blocks once the edge between the sides is gone.
 
-    Exactly the rows with ``|d(x, u) - d(x, v)| >= 2`` (see the module
-    docstring); rows reaching neither endpoint (``inf - inf`` is NaN)
-    compare False and are correctly skipped, rows reaching exactly one
-    endpoint give ``inf`` and are correctly included.
+    ``csr`` no longer has the edge.  Every pair ``(x, z)`` with ``z``
+    outside ``far`` is exact in ``dist``, so the far columns start at
+    ``inf`` and rounds of ``d(x, y) = 1 + min d(x, z)`` over each far
+    switch's neighbours ``z`` run until no entry drops; each round can
+    only lower entries, and round ``k`` is exact for every pair whose new
+    shortest path takes at most ``k - 1`` steps inside ``far``.
+    Neighbour lists are padded to one width with the far switch's own
+    id, which never lowers a minimum.
     """
-    with np.errstate(invalid="ignore"):
-        return np.flatnonzero(np.abs(dist[u] - dist[v]) >= 2.0)
+    rows = dist[near]
+    old = rows[:, far]
+    lo = csr.indptr[far]
+    deg = csr.indptr[far + 1] - lo
+    width = np.arange(deg.max())[:, None]
+    nbrs = np.where(width < deg, csr.indices[lo + np.minimum(width, deg - 1)], far)
+    rows[:, far] = np.inf
+    while True:
+        new = np.minimum.reduce(rows[:, nbrs], axis=1, initial=np.inf)
+        new += 1.0
+        if not (new < rows[:, far]).any():
+            return old, new
+        rows[:, far] = new
+
+
+def _insertion_sides(dist: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of inserted edge ``{u, v}``: rows two levels nearer one end.
+
+    Exactly the rows with ``d(x, u) <= d(x, v) - 2`` and their mirror set
+    (see the module docstring).  A row reaching only ``u`` lands on
+    ``u``'s side; the finiteness guard keeps rows reaching neither
+    endpoint off both (``inf <= inf - 2`` holds).
+    """
+    du, dv = dist[u], dist[v]
+    return (
+        np.flatnonzero((du <= dv - 2.0) & np.isfinite(du)),
+        np.flatnonzero((dv <= du - 2.0) & np.isfinite(dv)),
+    )
 
 
 def _insertion_block(
-    dist: np.ndarray, rows: np.ndarray, u: int, v: int
-) -> np.ndarray:
-    """The min-rule update of the ``rows x rows`` block for edge ``{u, v}``.
+    dist: np.ndarray, near: np.ndarray, far: np.ndarray, u: int, v: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(old, new)`` ``near x far`` blocks: the one detour through ``u -> v``."""
+    old = dist[near[:, None], far[None, :]]
+    detour = dist[u, near][:, None] + (dist[v, far] + 1.0)[None, :]
+    return old, np.minimum(old, detour)
 
-    ``dist[rows, v] == dist[v, rows]`` by symmetry, so both detour terms
-    come from the same two gathered vectors.  Reads complete before any
-    caller writes: every operand is a fancy-indexed copy or feeds an
-    arithmetic op that allocates.
-    """
-    du = dist[rows, u]
-    dv = dist[rows, v]
-    block = dist[rows[:, None], rows[None, :]]
-    detour = du[:, None] + (dv[None, :] + 1.0)
-    np.minimum(block, detour, out=block)
-    np.add(dv[:, None], du[None, :] + 1.0, out=detour)
-    np.minimum(block, detour, out=block)
-    return block
+
+def _store(dist: np.ndarray, rows: np.ndarray, cols: np.ndarray, block: np.ndarray) -> None:
+    """Write ``block`` at ``rows x cols`` and its transpose at ``cols x rows``."""
+    dist[rows[:, None], cols[None, :]] = block
+    dist[cols[:, None], rows[None, :]] = block.T
 
 
 class DynamicDistanceMatrix:
@@ -201,11 +246,11 @@ class DynamicDistanceMatrix:
     :class:`IncrementalEvaluator` extends it for the annealing loop.
 
     Every mutation is applied immediately and exactly, and the matrix keeps
-    ``inf`` entries while the graph is partitioned (both the affected-row
-    test and the insertion screening stay exact in the presence of
-    ``inf``; see the module docstring).  After any sequence of
+    ``inf`` entries while the graph is partitioned (both side tests guard
+    against ``inf``; see the module docstring).  After any sequence of
     ``remove_edge``/``add_edge`` calls, :attr:`dist` is bit-identical to a
-    from-scratch rebuild on the resulting graph.
+    from-scratch rebuild on the resulting graph, and it is the same array
+    throughout: repairs and fallback rebuilds write into it.
 
     Parameters
     ----------
@@ -230,30 +275,26 @@ class DynamicDistanceMatrix:
             self._bfs_timer = tel.timer(_KERNEL_BFS_TIMER)
             self._bfs_counter = tel.counter(_KERNEL_BFS_ROWS)
         self._csr = CSRAdjacency.from_graph(graph)
+        self._row_budget = int(_FALLBACK_FRACTION * self._m)
         self._dist = self._bfs(np.arange(self._m))
 
-    def _bfs(self, rows: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
+    def _bfs(self, rows: np.ndarray) -> np.ndarray:
         """Kernel BFS over the current CSR with optional row telemetry."""
         if self._bfs_timer is None:
-            return KERNEL.bfs_distances(self._csr, rows, targets)
+            return KERNEL.bfs_distances(self._csr, rows)
         t0 = obs_clock()
-        out = KERNEL.bfs_distances(self._csr, rows, targets)
+        out = KERNEL.bfs_distances(self._csr, rows)
         self._bfs_timer.observe(obs_clock() - t0)
         self._bfs_counter.inc(len(rows))
         return out
 
-    def _edit(
-        self,
-        removed: Sequence[_Edge],
-        added: Sequence[_Edge],
-        row_budget: float = math.inf,
-    ) -> int | None:
+    def _edit(self, removed: Sequence[_Edge], added: Sequence[_Edge]) -> int | None:
         """Remove then insert switch edges, repairing :attr:`dist` in place.
 
         Returns the rows the removals repaired.  Once that count exceeds
-        ``row_budget`` the remaining edges only update the CSR, all rows
-        are recomputed into a new :attr:`dist` array in one batched BFS
-        (the exact fallback), and ``None`` is returned.
+        the row budget (``_FALLBACK_FRACTION * m``) the remaining edges
+        only update the CSR, every row is recomputed in one batched BFS
+        (the exact fallback, :meth:`_rebuild`), and ``None`` is returned.
         """
         repaired = 0
         exact = True
@@ -261,31 +302,34 @@ class DynamicDistanceMatrix:
             self._csr = self._csr.with_edge_removed(u, v)
             if not exact:
                 continue
-            rows = _affected_sources(self._dist, self._csr, u, v)
-            repaired += len(rows)
-            if repaired > row_budget:
+            near, far = _removal_sides(self._dist, self._csr, u, v)
+            repaired += len(near) + len(far)
+            if repaired > self._row_budget:
                 exact = False
-            elif len(rows):
-                self._write(rows, self._bfs(rows, targets=rows), inserted=False)
+            else:
+                self._write(near, far, *_removal_block(self._dist, self._csr, near, far))
         for u, v in added:
             self._csr = self._csr.with_edge_added(u, v)
-            if not exact:
-                continue
-            rows = _insertion_affected(self._dist, u, v)
-            if len(rows):
-                block = _insertion_block(self._dist, rows, u, v)
-                self._write(rows, block, inserted=True)
+            if exact:
+                near, far = _insertion_sides(self._dist, u, v)
+                self._write(near, far, *_insertion_block(self._dist, near, far, u, v))
         if not exact:
-            self._dist = self._bfs(np.arange(self._m))
+            self._rebuild()
             return None
         return repaired
 
-    def _write(self, rows: np.ndarray, block: np.ndarray, *, inserted: bool) -> None:
-        """Store one repair step's ``rows x rows`` block in place.
+    def _write(
+        self, rows: np.ndarray, cols: np.ndarray, old: np.ndarray, new: np.ndarray
+    ) -> None:
+        """Store one repair step's ``rows x cols`` block ``new`` (and its transpose).
 
-        ``inserted`` marks an insertion step, whose block can only shrink.
+        ``old`` is the block it replaces (the journal's undo record).
         """
-        self._dist[rows[:, None], rows[None, :]] = block
+        _store(self._dist, rows, cols, new)
+
+    def _rebuild(self) -> None:
+        """Recompute every row in place, so a held :attr:`dist` stays live."""
+        self._dist[...] = self._bfs(np.arange(self._m))
 
     @property
     def num_switches(self) -> int:
@@ -319,12 +363,18 @@ class DynamicDistanceMatrix:
         return not np.isinf(self._dist[0]).any()
 
     def remove_edge(self, u: int, v: int) -> int:
-        """Remove switch edge ``{u, v}``; returns the repaired row count."""
+        """Remove switch edge ``{u, v}``; returns the repaired row count.
+
+        A removal whose two sides hold more than ``_FALLBACK_FRACTION * m``
+        rows (a long ring, say) recomputes all ``m`` rows in one batched
+        BFS instead, and returns ``m``.
+        """
         self._check_pair(u, v)
-        return self._edit([(u, v)], [])
+        repaired = self._edit([(u, v)], [])
+        return self._m if repaired is None else repaired
 
     def add_edge(self, u: int, v: int) -> None:
-        """Insert switch edge ``{u, v}`` (exact screened min-rule)."""
+        """Insert switch edge ``{u, v}`` (exact one-detour cross block)."""
         self._check_pair(u, v)
         self._edit([], [(u, v)])
 
@@ -389,7 +439,6 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
             )
         super().__init__(graph, telemetry=telemetry)
         self._n = graph.num_hosts
-        self._row_budget = int(_FALLBACK_FRACTION * self._m)
         self._rows_hist: Histogram | None = None
         if telemetry is not None and telemetry.enabled:
             self._rows_hist = telemetry.histogram(
@@ -398,8 +447,8 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         self._k = graph.host_counts().astype(np.float64)
         self._value, self._weighted = self._evaluate(self._dist, self._k)
         #: While a proposal is pending: the committed ``(csr, dist, k, value,
-        #: weighted)`` and the journal of repair steps ``(rows, old block,
-        #: new block, inserted)``.
+        #: weighted)`` and the journal of repair steps ``(rows, cols, old
+        #: block, new block)``.
         self._pending: tuple[tuple, list[_Step]] | None = None
         self.stats = {
             "proposals": 0,
@@ -407,20 +456,20 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
             "repaired_rows": 0,
         }
 
-    def _edit(
-        self,
-        removed: Sequence[_Edge],
-        added: Sequence[_Edge],
-        row_budget: float = math.inf,
-    ) -> int | None:
+    def _edit(self, removed: Sequence[_Edge], added: Sequence[_Edge]) -> int | None:
         if self._pending is None:
             raise IncrementalEvaluatorError("edit the evaluator through propose()")
-        return super()._edit(removed, added, row_budget)
+        return super()._edit(removed, added)
 
-    def _write(self, rows: np.ndarray, block: np.ndarray, *, inserted: bool) -> None:
-        old = self._dist[rows[:, None], rows[None, :]]
-        self._pending[1].append((rows, old, block, inserted))
-        super()._write(rows, block, inserted=inserted)
+    def _write(
+        self, rows: np.ndarray, cols: np.ndarray, old: np.ndarray, new: np.ndarray
+    ) -> None:
+        self._pending[1].append((rows, cols, old, new))
+        super()._write(rows, cols, old, new)
+
+    def _rebuild(self) -> None:
+        # The committed array must survive for rollback: rebind, never overwrite.
+        self._dist = self._bfs(np.arange(self._m))
 
     # ------------------------------------------------------------------ #
     # Value computation
@@ -443,43 +492,6 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
             return float("inf"), float("inf")
         weighted = weighted_host_distance_sum(sub, kb)
         return h_aspl_from_weighted_sum(weighted, self._n), weighted
-
-    def _block_delta(
-        self,
-        dw: float,
-        rows: np.ndarray,
-        old: np.ndarray,
-        new: np.ndarray,
-        finite: bool = False,
-    ) -> tuple[float, bool]:
-        """Fold one repair step's block delta into the running weighted sum.
-
-        The step changed exactly the ``rows x rows`` block, so its exact
-        contribution (with the *committed* host counts — swing deltas are
-        applied afterwards, term by term) is the quadratic form
-        ``k[rows] @ (new - old) @ k[rows]`` restricted to host-bearing
-        rows.  Returns ``(dw, False)`` when the new block holds an
-        ``inf`` at a bearing pair (the move disconnects hosts) — the
-        caller then falls back to the full double sum.  Bearing entries
-        of ``old`` are finite by induction (the committed sum was finite
-        and every previous step passed this same check), so the
-        subtraction never sees ``inf - inf``.  Insertion steps pass
-        ``finite=True`` to skip the scan: their block is an elementwise
-        ``min`` against the old one, so finiteness is inherited.
-        """
-        kr = self._k[rows]
-        bsel = kr > 0
-        if bsel.all():  # the common case: every touched switch bears hosts
-            sub_new, sub_old, kb = new, old, kr
-        elif not bsel.any():
-            return dw, True
-        else:
-            sub_new = new[bsel][:, bsel]
-            sub_old = old[bsel][:, bsel]
-            kb = kr[bsel]
-        if not finite and not np.isfinite(sub_new).all():
-            return dw, False
-        return dw + float(kb @ (sub_new - sub_old) @ kb), True
 
     def _host_delta_weighted(
         self,
@@ -529,7 +541,7 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         committed = (self._csr, self._dist, self._k, self._value, self._weighted)
         self._pending = (committed, journal)
         try:
-            repaired = self._edit(removed, added, self._row_budget)
+            repaired = self._edit(removed, added)
         except BaseException:
             self.rollback()
             raise
@@ -559,15 +571,22 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
     ) -> float | None:
         """The candidate weighted sum from the journaled block deltas.
 
-        ``None`` when an ``inf`` comes into sight; the caller then falls
-        back to the full double sum.
+        Each step changed exactly its ``rows x cols`` block and the
+        transpose, so it adds ``2 k[rows] @ (new - old) @ k[cols]`` with
+        the *committed* host counts (swing deltas are applied afterwards,
+        term by term).  A step's blocks are each all finite or all
+        ``inf``: the two sides lie in one component, which a removal
+        either keeps or splits between them, and an insertion either
+        finds or joins.  So one corner entry tells whether the step split
+        or joined components; then ``None`` is returned and the caller
+        falls back to the full double sum.
         """
-        dw, ok = 0.0, True
-        for rows, old, new, inserted in journal:
-            dw, ok = self._block_delta(dw, rows, old, new, finite=inserted)
-            if not ok:
+        dw = 0.0
+        for rows, cols, old, new in journal:
+            if math.isinf(new[0, 0] - old[0, 0]):
                 return None
-        weighted = self._weighted + dw
+            dw += float(self._k[rows] @ (new - old) @ self._k[cols])
+        weighted = self._weighted + 2.0 * dw
         if host_deltas:
             return self._host_delta_weighted(self._dist, host_deltas, weighted)
         return weighted
@@ -588,8 +607,8 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
             raise IncrementalEvaluatorError("rollback() without a pending proposal")
         committed, journal = self._pending
         self._csr, self._dist, self._k, self._value, self._weighted = committed
-        for rows, old, _new, _inserted in reversed(journal):
-            self._dist[rows[:, None], rows[None, :]] = old
+        for rows, cols, old, _new in reversed(journal):
+            _store(self._dist, rows, cols, old)
         self._pending = None
 
     def _aggregate(

@@ -1,10 +1,12 @@
 """The BFS kernel behind the distance/h-ASPL hot path.
 
-Every distance computation in this repo — ``metrics.switch_distance_matrix``
-and the :class:`repro.core.incremental.DynamicDistanceMatrix` repair engine
-(which the annealer's :class:`~repro.core.incremental.IncrementalEvaluator`
+Every BFS in this repo — ``metrics.switch_distance_matrix``, and the
+construction and fallback rebuilds of the
+:class:`repro.core.incremental.DynamicDistanceMatrix` repair engine (which
+the annealer's :class:`~repro.core.incremental.IncrementalEvaluator`
 extends) — calls :data:`KERNEL`, one :class:`BitsetBackend` instance, over
-a shared :class:`CSRAdjacency`.
+a shared :class:`CSRAdjacency`.  The engine repairs each edit from its own
+matrix, so the annealing loop itself runs no BFS.
 
 :class:`repro.core.kernels.python_backend.PythonBackend`, PR 2's dense
 matmul BFS, stays in this package as the test-side reference: the

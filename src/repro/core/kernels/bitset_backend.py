@@ -29,20 +29,16 @@ cast to float64 exactly.  Pairs still unreached when the sweep ends get
 ``inf`` in a single final masked store, so disconnected and partitioned
 fabrics need no special casing.
 
-With ``targets`` the kernel accumulates only the ``len(targets) x S``
-counter block: the frontier still sweeps the whole graph (exactness
-needs full propagation) but the per-level cost of extraction drops from
-O(m x S) to O(len(targets) x S) — the repair hot path in
-:mod:`repro.core.incremental` only ever needs the affected x affected
-block.  Each iteration first checks whether every requested (source,
-target) pair is settled and stops before the next advance, so the sweep
-never pays for a level that cannot change the answer.
+Each iteration first checks whether every source has reached every
+switch and stops before the next advance, so a connected sweep never
+pays for a level that cannot change the answer.
 
 Work buffers (``reach``, frontier/fresh pair, the edge gather) are
-recycled across calls through a small per-shape scratch cache: the
-repair path calls this kernel twice per annealing proposal with
-identical shapes, and the allocator + page-fault cost of cold buffers is
-measurable there.  The cache is per thread.  ``repro serve`` runs solves
+recycled across calls through a small per-shape scratch cache.  Its
+callers are whole sweeps: a distance engine's construction, its fallback
+rebuilds and :func:`repro.core.metrics.switch_distance_matrix` callers,
+which repeat one shape; fresh buffers measured 15-25% slower on a full
+m=734 APSP.  The cache is per thread.  ``repro serve`` runs solves
 in worker threads, and a thread switch (or NumPy releasing the GIL)
 mid-call would otherwise let two same-shape calls overwrite each other's
 bitmaps.  The returned matrix is always freshly allocated; no
@@ -102,19 +98,13 @@ class BitsetBackend:
             local.edge[(nnz, words)] = gathered
         return (*grid, gathered)
 
-    def bfs_distances(
-        self,
-        csr: CSRAdjacency,
-        sources: np.ndarray,
-        targets: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def bfs_distances(self, csr: CSRAdjacency, sources: np.ndarray) -> np.ndarray:
+        """Distances from ``sources`` to every switch, ``(len(sources), m)``."""
         m = csr.num_switches
         sources = np.asarray(sources, dtype=np.int64)
         num = len(sources)
-        tgt = None if targets is None else np.asarray(targets, dtype=np.int64)
-        cols = m if tgt is None else len(tgt)
-        if num == 0 or cols == 0:
-            return np.full((num, cols), np.inf)
+        if num == 0 or m == 0:
+            return np.full((num, m), np.inf)
         words = (num + 63) >> 6
         j = np.arange(num)
         word = j >> 6
@@ -124,7 +114,7 @@ class BitsetBackend:
         indices = csr.indices
         reach, frontier, fresh, scratch, gathered = self._buffers(m, words, len(indices))
         reach[:] = 0
-        # Strictly-increasing sources (the common repair-path input) are
+        # Strictly-increasing sources (every whole-sweep caller) are
         # unique by construction; otherwise dedupe-check before scatter.
         increasing = num == 1 or bool((np.diff(sources) > 0).all())
         if increasing or len(np.unique(sources)) == num:
@@ -133,7 +123,7 @@ class BitsetBackend:
             # Duplicate sources share a switch row; OR the bits in.
             np.bitwise_or.at(reach, (sources, word), bit)
         # Per-word all-sources bitmask: the sweep is settled once every
-        # requested row's reach words equal it.
+        # switch's reach words equal it.
         done_mask = np.full(words, _ALL_ONES)
         if num & 63:
             done_mask[-1] = (np.uint64(1) << np.uint64(num & 63)) - np.uint64(1)
@@ -142,21 +132,16 @@ class BitsetBackend:
         full_rows = len(nonempty) == m
         starts = indptr[nonempty].astype(np.int64)
         frontier[:] = reach
-        sub = scratch if tgt is None else np.empty((cols, words), dtype=np.uint64)
-        acc = np.zeros((cols, num), dtype=np.uint32)
+        acc = np.zeros((m, num), dtype=np.uint32)
         settled = False
         while len(indices):
             # A pair's distance is the number of iterations it spends
             # unreached, so extraction is one unpack + one add per level.
-            if tgt is None:
-                rows = reach
-            else:
-                rows = np.take(reach, tgt, axis=0, out=sub)
-            if (rows == done_mask[None, :]).all():
+            if (reach == done_mask[None, :]).all():
                 settled = True
                 break
-            np.invert(rows, out=sub)
-            np.add(acc, _unpack(sub, num), out=acc)
+            np.invert(reach, out=scratch)
+            np.add(acc, _unpack(scratch, num), out=acc)
             np.take(frontier, indices, axis=0, out=gathered)
             # reduceat over non-empty row starts partitions the gather
             # exactly: consecutive starts bound each switch's edges.
@@ -175,7 +160,6 @@ class BitsetBackend:
         if not settled:
             # Disconnected/partitioned fabrics: whatever is still
             # unreached when the wavefront dies stays at distance inf.
-            rows = reach if tgt is None else np.take(reach, tgt, axis=0, out=sub)
-            unreached = _unpack(rows, num) == 0
+            unreached = _unpack(reach, num) == 0
             np.copyto(dist_t, np.inf, where=unreached)
         return np.ascontiguousarray(dist_t.T)

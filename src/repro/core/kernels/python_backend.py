@@ -22,25 +22,14 @@ class PythonBackend:
 
     name = "python"
 
-    def bfs_distances(
-        self,
-        csr: CSRAdjacency,
-        sources: np.ndarray,
-        targets: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def bfs_distances(self, csr: CSRAdjacency, sources: np.ndarray) -> np.ndarray:
         """Distances from ``sources`` to every switch, ``(len(sources), m)``.
 
         One BFS level per matmul: the frontier of all sources advances
         together, so the per-level cost is a single
         ``(len(sources), m) @ (m, m)`` product regardless of how many
         rows are being computed.  Unreachable switches stay ``inf``.
-        With ``targets`` only those columns are returned; the oracle
-        deliberately computes the full matrix first and slices — the
-        simplest possible semantics for the fast kernel to match.
         """
-        if targets is not None:
-            full = self.bfs_distances(csr, sources)
-            return full[:, np.asarray(targets, dtype=np.int64)]
         adjacency = csr.dense_float32()
         m = adjacency.shape[0]
         sources = np.asarray(sources, dtype=np.int64)

@@ -242,7 +242,8 @@ def solve_orp(
         way it accounts for every restart.  One ``"solver.restart"`` event
         per finished restart, in index order, carries the restart's
         :class:`RestartSummary` fields plus ``n``, ``r``, ``m``,
-        ``restarts`` and the running ``best_h_aspl``.
+        ``restarts``, the running ``best_h_aspl`` and, when ``seed`` is
+        an int, ``seed``.
     checkpointer:
         Optional checkpoint/resume driver (duck-typed; see
         :class:`repro.campaign.checkpoint.PointCheckpointer`).  Needs an
@@ -322,6 +323,9 @@ def solve_orp(
     children = _restart_seed_sequences(seed, restarts)
     runs: list[AnnealingResult] = []
     summaries: list[RestartSummary] = []
+    point = {"n": n, "r": r, "m": m_used, "restarts": restarts}
+    if isinstance(seed, int):
+        point["seed"] = seed
 
     def finished(run: AnnealingResult) -> None:
         """Record the next restart and report it as one ``solver.restart``."""
@@ -332,7 +336,7 @@ def solve_orp(
         if tel.enabled:
             tel.event(
                 "solver.restart",
-                n=n, r=r, m=m_used, restarts=restarts,
+                **point,
                 **asdict(summary) | {"seed_spawn_key": list(summary.seed_spawn_key)},
                 best_h_aspl=min(s.h_aspl for s in summaries),
             )

@@ -122,6 +122,7 @@ def _restart_section(events: list[dict[str, Any]]) -> list[str]:
         rows.append([
             f.get("n"),
             f.get("r"),
+            f.get("seed", ""),
             f.get("index"),
             f"{f.get('initial_h_aspl', float('nan')):.4f}",
             f"{f.get('h_aspl', float('nan')):.4f}",
@@ -130,7 +131,7 @@ def _restart_section(events: list[dict[str, Any]]) -> list[str]:
             f"{f.get('wall_time_s', 0.0):.2f}",
         ])
     table = format_table(
-        ["n", "r", "restart", "initial h-ASPL", "best h-ASPL", "accepted",
+        ["n", "r", "seed", "restart", "initial h-ASPL", "best h-ASPL", "accepted",
          "rejected", "wall s"],
         rows,
         title="per-restart summaries",

@@ -11,9 +11,10 @@ Operational niceties for scripts and CI:
 - binding port ``0`` picks an ephemeral port; ``port_file`` publishes the
   bound port atomically-enough for a shell to poll (written after the
   socket is listening, so its existence means "ready");
-- a ``shutdown`` request drains gracefully: background refinements run
-  to completion, then the loop exits — the same path SIGINT takes under
-  the CLI.  A query that reaches the draining service is answered
+- a ``shutdown`` request drains gracefully: the server closes every open
+  connection (an idle client sees end of file), background refinements
+  run to completion, then the loop exits — the same path SIGINT takes
+  under the CLI.  A query that reaches the draining service is answered
   ``{"ok": false, "busy": true}``.
 """
 
@@ -47,6 +48,8 @@ class TopologyServer:
         self.service = TopologyService(config, telemetry=telemetry)
         self._server: asyncio.Server | None = None
         self._shutdown = asyncio.Event()
+        #: Open connections: each handler's writer and its task.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task[None]] = {}
 
     @property
     def bound_port(self) -> int:
@@ -82,6 +85,13 @@ class TopologyServer:
     async def aclose(self) -> None:
         if self._server is not None:
             self._server.close()
+            # An idle client would keep its handler waiting for a line (and,
+            # from Python 3.12 on, wait_closed() waiting for the handler).
+            # Closing the socket ends each handler's read, so every handler
+            # returns here instead of being cancelled when the loop exits.
+            for writer in self._connections:
+                writer.close()
+            await asyncio.gather(*self._connections.values(), return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         await self.service.aclose()
@@ -91,6 +101,9 @@ class TopologyServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[writer] = task
         try:
             while True:
                 try:
@@ -106,6 +119,7 @@ class TopologyServer:
                 except ConnectionResetError:
                     break
         finally:
+            del self._connections[writer]
             writer.close()
             try:
                 await writer.wait_closed()

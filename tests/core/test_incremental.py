@@ -21,7 +21,7 @@ import repro.core.incremental as incremental
 from repro.core.incremental import (
     IncrementalEvaluator,
     IncrementalEvaluatorError,
-    _affected_sources,
+    _removal_sides,
 )
 from repro.core.kernels import CSRAdjacency
 from repro.core.metrics import h_aspl_and_diameter, switch_distance_matrix
@@ -285,7 +285,9 @@ class TestRepairPrimitives:
         csr = CSRAdjacency.from_edges(m, [(0, 1), (1, 2), (2, 3), (0, 2)])
         dist = REFERENCE_KERNEL.bfs_distances(csr, np.arange(m))
         stripped = csr.with_edge_removed(1, 2)
-        affected = set(_affected_sources(dist, stripped, 1, 2).tolist())
+        near, far = _removal_sides(dist, stripped, 1, 2)
+        affected = set(near.tolist()) | set(far.tolist())
+        assert not set(near.tolist()) & set(far.tolist())
         after = REFERENCE_KERNEL.bfs_distances(stripped, np.arange(m))
         truly_changed = {
             int(x) for x in range(m) if not np.array_equal(dist[x], after[x])
@@ -293,3 +295,6 @@ class TestRepairPrimitives:
         assert truly_changed <= affected
         # Exactness on this fixture: the test is not just a superset.
         assert affected == truly_changed
+        # Only the cross block between the two sides changes.
+        changed = np.argwhere(dist != after)
+        assert all((x in near) != (y in near) for x, y in changed)

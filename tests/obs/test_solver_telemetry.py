@@ -3,6 +3,7 @@ merge in solve_orp."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.solver import ORPSolution, RestartSummary, solve_orp
@@ -99,9 +100,19 @@ class TestTelemetryMerge:
                 assert f["h_aspl"] == summary.h_aspl
                 assert f["accepted"] == summary.accepted
                 assert f["rejected"] == summary.rejected
-                assert (f["n"], f["r"], f["m"], f["restarts"]) == (N, R, 10, 3)
+                assert (f["n"], f["r"], f["m"], f["restarts"], f["seed"]) == (N, R, 10, 3, 11)
                 best = min(best, summary.h_aspl)
                 assert f["best_h_aspl"] == best
+
+    def test_restart_event_names_an_int_seed_only(self):
+        rng = np.random.default_rng(11)
+        for seed, expected in ((11, 11), (rng, None)):
+            reg = TelemetryRegistry()
+            sink = MemorySink()
+            reg.add_sink(sink)
+            _solve(telemetry=reg, seed=seed, restarts=1)
+            (event,) = [e["fields"] for e in sink.events if e.get("name") == "solver.restart"]
+            assert event.get("seed") == expected
 
     def test_span_wraps_the_fan_out(self):
         _, _, sink = self._traced(jobs=1)

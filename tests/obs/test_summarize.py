@@ -73,13 +73,14 @@ class TestSummarizeSections:
         assert "fallback rebuilds" in out
 
     def test_restart_table_groups_rows_by_point(self):
-        # A two-point campaign trace: each solve reports its restarts in
-        # index order, one point after the other.
+        # A three-point campaign trace, two of the points a seed sweep of
+        # one (n, r): each solve reports its restarts in index order, one
+        # point after the other, and the seed column tells the sweep apart.
         def populate(reg):
-            for n in (24, 32):
+            for n, seed in ((24, 0), (32, 0), (32, 1)):
                 for index in (0, 1):
                     reg.event(
-                        "solver.restart", n=n, r=6, m=8, restarts=2,
+                        "solver.restart", n=n, r=6, m=8, restarts=2, seed=seed,
                         index=index, initial_h_aspl=4.0, h_aspl=3.5,
                         steps=100, accepted=30, rejected=70, wall_time_s=1.0,
                         best_h_aspl=3.5,
@@ -88,8 +89,10 @@ class TestSummarizeSections:
         out = summarize_events(_trace(populate))
         assert "per-restart summaries" in out
         rows = [ln.split("|") for ln in out.splitlines() if "3.5000" in ln]
-        assert [[cell.strip() for cell in row[:3]] for row in rows] == [
-            ["24", "6", "0"], ["24", "6", "1"], ["32", "6", "0"], ["32", "6", "1"],
+        assert [[cell.strip() for cell in row[:4]] for row in rows] == [
+            ["24", "6", "0", "0"], ["24", "6", "0", "1"],
+            ["32", "6", "0", "0"], ["32", "6", "0", "1"],
+            ["32", "6", "1", "0"], ["32", "6", "1", "1"],
         ]
 
     def test_simulation_section(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 import pytest
 
@@ -106,6 +107,32 @@ class TestServerEndToEnd:
             await asyncio.wait_for(serve_task, timeout=10)
 
         asyncio.run(run())
+
+    def test_shutdown_closes_idle_connections(self, seeded_root, caplog):
+        # A client that stays connected must neither hold shutdown up (on
+        # Python 3.12+ wait_closed() waits for its handler) nor leave its
+        # handler to be cancelled at loop exit, which logs an asyncio
+        # traceback ("Exception in callback ... CancelledError").
+        server = _server(seeded_root, refine=False)
+
+        async def run():
+            await server.start()
+            port = server.bound_port
+            serve_task = asyncio.create_task(server.serve_until_shutdown())
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(encode_line({"op": "ping"}))
+            await writer.drain()
+            assert json.loads(await reader.readline())["ok"] is True
+            await _call(client.shutdown, "127.0.0.1", port)
+            await asyncio.wait_for(serve_task, timeout=5)
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            writer.close()
+            await writer.wait_closed()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(run())
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"] == []
 
     def test_malformed_line_answers_error_and_keeps_connection(self, seeded_root):
         server = _server(seeded_root, refine=False)
