@@ -53,25 +53,34 @@ across them only one direction can win, so the cross block needs just::
 
 The ``inf`` guard: a row that reaches neither endpoint compares ``inf ==
 inf + 1`` and ``inf <= inf - 2`` as true and would land on both sides;
-both tests require a finite distance to the side's own endpoint.  With
+both tests require a finite distance to the side's own endpoint (each is
+phrased so that ``inf`` fails it, see :func:`_removal_sides` and
+:func:`_insertion_sides`).  With
 the guard both sides lie in the edge's component, so each cross block is
 all finite or all ``inf``: a removal either keeps that component whole
 or splits it between the sides, and an insertion either finds its
 endpoints connected or joins their components.
 
-The undo journal
-----------------
+The adjacency and the undo journal
+----------------------------------
+The engine keeps the switch adjacency as one ``(m, W)`` int32
+neighbour table, ``W`` the graph's radix: row ``s`` holds ``s``'s
+neighbours and its free slots hold ``s`` itself, which never lowers a
+minimum.  An edit rewrites one slot per endpoint in place (an insertion
+into a full row widens the table by one column).  The kernel reads a
+CSR, which is built from the table only for construction and fallback
+rebuilds and dropped afterwards.
+
 ``propose`` repairs the matrix **in place** and journals every repair
-step's ``(rows, cols, old block, new block)`` together with the committed
-CSR, host counts and value; the old block is the one gathered to compute
-the new.  Each block is written, and restored, in both orientations
-(``rows x cols`` and its transpose).  ``rollback`` restores the journaled
-blocks in reverse order — which covers every modified entry, because
-each repair step only writes its own block — and reinstates the
-committed state.  ``commit`` simply drops the journal.  The committed CSR
-adjacency is never mutated: a proposal's CSR accumulates single-edge
-deltas as cheap copies and is kept (or dropped) wholesale, so the CSR is
-only ever built from the graph at construction.
+step's ``(rows, cols, old block, new block)`` and every table write's
+``(switch, slot, old id)``, together with the committed host counts and
+value; the old block is the one gathered to compute the new.  Each
+block is written, and restored, in both orientations (``rows x cols``
+and its transpose).  ``rollback`` restores the journaled blocks and
+slots newest-first — which covers every modified entry, because each
+repair step only writes its own block — and reinstates the committed
+state, also after an exception or a fallback rebuild inside
+``propose``.  ``commit`` simply drops the journal.
 
 The h-ASPL itself is maintained as the running weighted sum
 ``sum k_a k_b (d(a,b) + 2)``: each repair step contributes the exact
@@ -153,88 +162,115 @@ class IncrementalEvaluatorError(RuntimeError):
     """Misuse of the propose/commit/rollback protocol."""
 
 
+def _neighbour_table(csr: CSRAdjacency, width: int) -> np.ndarray:
+    """The ``(m, W)`` neighbour table of ``csr``, ``W >= width``.
+
+    Row ``s`` holds ``s``'s neighbours, then free slots holding ``s``.
+    """
+    m = csr.num_switches
+    deg = np.diff(csr.indptr)
+    width = max(width, int(deg.max(initial=0)))
+    table = np.repeat(np.arange(m, dtype=np.int32)[:, None], width, axis=1)
+    owner = np.repeat(np.arange(m), deg)
+    table[owner, np.arange(len(owner)) - csr.indptr[owner]] = csr.indices
+    return table
+
+
+def _table_csr(table: np.ndarray) -> CSRAdjacency:
+    """The CSR of a neighbour table (ascending rows, free slots dropped)."""
+    m = len(table)
+    own = np.arange(m, dtype=table.dtype)[:, None]
+    # Free slots sort last under the key ``m``.  A stable sort, because the
+    # default one loads NumPy's SIMD sort, which costs 0.5 MiB of peak RSS.
+    keyed = np.sort(np.where(table == own, m, table), axis=1, kind="stable")
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum((keyed < m).sum(axis=1), out=indptr[1:])
+    return CSRAdjacency(indptr, keyed[keyed < m])
+
+
 def _removal_sides(
-    dist: np.ndarray, csr: CSRAdjacency, u: int, v: int
+    dist: np.ndarray, table: np.ndarray, u: int, v: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two sides ``(near, far)`` of removed edge ``{u, v}``.
 
-    ``dist`` is exact for the graph *with* the edge; ``csr`` already has
-    it removed (so the predecessor scan below cannot see it).  Row ``x``
-    is on the near side iff it reaches ``u``, ``v`` sat exactly one level
-    deeper, and ``v`` loses its only predecessor at that depth; the far
-    side is the mirror test through ``v``.  Their union is exactly the
-    rows whose distances change (see the module docstring).  The
-    finiteness guard keeps rows that reach neither endpoint off both
-    sides: ``inf == inf + 1`` would otherwise put them on each.  ``dist``
-    is symmetric, so the scan reads contiguous rows instead of columns.
+    ``dist`` is exact for the graph *with* the edge; ``table`` already
+    has it removed (so the predecessor test below cannot see it).  Row
+    ``x`` is on the near side iff ``v`` sat exactly one level deeper than
+    ``u`` and loses its only predecessor at that depth; the far side is
+    the mirror test through ``v``.  Their union is exactly the rows whose
+    distances change (see the module docstring).  Both sides are tested
+    in one pass over the stacked rows ``d(., u), d(., v)``.  With the
+    edge present ``|d(x, u) - d(x, v)| <= 1``, so "one level deeper" is
+    plain ``>``, which is also the ``inf`` guard: a row reaching neither
+    endpoint compares ``inf > inf`` as false.  A free slot holds the far
+    switch itself and contributes ``d_far >= d_far``.  ``dist`` is
+    symmetric, so every read is a contiguous row.
     """
-    sides = []
-    for near, far in ((u, v), (v, u)):
-        d_near, d_far = dist[near], dist[far]
-        through = (d_far == d_near + 1.0) & np.isfinite(d_near)
-        # ...and no surviving neighbour of ``far`` sits one level nearer x.
-        through &= np.min(dist[csr.neighbors(far)], axis=0, initial=np.inf) >= d_far
-        sides.append(np.flatnonzero(through))
-    return sides[0], sides[1]
+    ends = dist.take([u, v], axis=0)
+    deeper = ends[::-1]
+    through = deeper > ends
+    # ...and no surviving neighbour of the deeper end sits one level nearer
+    # x: gathered slot-major, so the minimum runs over whole (2, m) slabs.
+    hood = table.take([v, u], axis=0).T
+    through &= np.minimum.reduce(dist.take(hood, axis=0), axis=0) >= deeper
+    return through[0].nonzero()[0], through[1].nonzero()[0]
 
 
 def _removal_block(
-    dist: np.ndarray, csr: CSRAdjacency, near: np.ndarray, far: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(old, new)`` ``near x far`` blocks once the edge between the sides is gone.
+    dist: np.ndarray, table: np.ndarray, near: np.ndarray, far: np.ndarray
+) -> _Step:
+    """The ``far x near`` repair step once the edge between the sides is gone.
 
-    ``csr`` no longer has the edge.  Every pair ``(x, z)`` with ``z``
-    outside ``far`` is exact in ``dist``, so the far columns start at
+    ``table`` no longer has the edge.  Every pair ``(x, z)`` with ``z``
+    outside ``far`` is exact in ``dist``, so the far entries start at
     ``inf`` and rounds of ``d(x, y) = 1 + min d(x, z)`` over each far
     switch's neighbours ``z`` run until no entry drops; each round can
     only lower entries, and round ``k`` is exact for every pair whose new
-    shortest path takes at most ``k - 1`` steps inside ``far``.
-    Neighbour lists are padded to one width with the far switch's own
+    shortest path takes at most ``k - 1`` steps inside ``far``.  The
+    block is switch-major (row ``z`` holds ``d(., z)`` over ``near``), so
+    each round gathers whole rows; a free slot holds the far switch's own
     id, which never lowers a minimum.
     """
-    rows = dist[near]
-    old = rows[:, far]
-    lo = csr.indptr[far]
-    deg = csr.indptr[far + 1] - lo
-    width = np.arange(deg.max())[:, None]
-    nbrs = np.where(width < deg, csr.indices[lo + np.minimum(width, deg - 1)], far)
-    rows[:, far] = np.inf
+    cols = dist.take(near, axis=0).T.copy()
+    old = cols.take(far, axis=0)
+    hood = table.take(far, axis=0).T
+    cols[far] = np.inf
+    last: np.ndarray | float = np.inf
     while True:
-        new = np.minimum.reduce(rows[:, nbrs], axis=1, initial=np.inf)
+        new = np.minimum.reduce(cols.take(hood, axis=0), axis=0)
         new += 1.0
-        if not (new < rows[:, far]).any():
-            return old, new
-        rows[:, far] = new
+        if not (new < last).any():
+            return far, near, old, new
+        cols[far] = last = new
 
 
 def _insertion_sides(dist: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
     """The two sides of inserted edge ``{u, v}``: rows two levels nearer one end.
 
     Exactly the rows with ``d(x, u) <= d(x, v) - 2`` and their mirror set
-    (see the module docstring).  A row reaching only ``u`` lands on
-    ``u``'s side; the finiteness guard keeps rows reaching neither
-    endpoint off both (``inf <= inf - 2`` holds).
+    (see the module docstring), tested on both stacked rows at once.  On
+    integers that is ``d(x, u) + 1.5 < d(x, v)``, which a row reaching
+    only ``u`` passes and a row reaching neither endpoint fails (``inf <
+    inf``), the ``inf`` guard.
     """
-    du, dv = dist[u], dist[v]
-    return (
-        np.flatnonzero((du <= dv - 2.0) & np.isfinite(du)),
-        np.flatnonzero((dv <= du - 2.0) & np.isfinite(dv)),
-    )
+    ends = dist.take([u, v], axis=0)
+    through = ends + 1.5 < ends[::-1]
+    return through[0].nonzero()[0], through[1].nonzero()[0]
 
 
 def _insertion_block(
     dist: np.ndarray, near: np.ndarray, far: np.ndarray, u: int, v: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(old, new)`` ``near x far`` blocks: the one detour through ``u -> v``."""
-    old = dist[near[:, None], far[None, :]]
-    detour = dist[u, near][:, None] + (dist[v, far] + 1.0)[None, :]
-    return old, np.minimum(old, detour)
+) -> _Step:
+    """The ``near x far`` repair step: the one detour through ``u -> v``."""
+    old = dist.take(near, axis=0).take(far, axis=1)
+    detour = dist[u].take(near)[:, None] + (dist[v].take(far) + 1.0)
+    return near, far, old, np.minimum(old, detour)
 
 
 def _store(dist: np.ndarray, rows: np.ndarray, cols: np.ndarray, block: np.ndarray) -> None:
     """Write ``block`` at ``rows x cols`` and its transpose at ``cols x rows``."""
-    dist[rows[:, None], cols[None, :]] = block
-    dist[cols[:, None], rows[None, :]] = block.T
+    dist[rows[:, None], cols] = block
+    dist[cols[:, None], rows] = block.T
 
 
 class DynamicDistanceMatrix:
@@ -274,18 +310,24 @@ class DynamicDistanceMatrix:
         if tel.enabled:
             self._bfs_timer = tel.timer(_KERNEL_BFS_TIMER)
             self._bfs_counter = tel.counter(_KERNEL_BFS_ROWS)
-        self._csr = CSRAdjacency.from_graph(graph)
+        self._table = _neighbour_table(CSRAdjacency.from_graph(graph), graph.radix)
         self._row_budget = int(_FALLBACK_FRACTION * self._m)
-        self._dist = self._bfs(np.arange(self._m))
+        self._dist = self._apsp()
 
-    def _bfs(self, rows: np.ndarray) -> np.ndarray:
-        """Kernel BFS over the current CSR with optional row telemetry."""
+    def _apsp(self) -> np.ndarray:
+        """Every row by one kernel BFS, with optional row telemetry.
+
+        The kernel reads a CSR, built here from the table and dropped on
+        return: only construction and fallback rebuilds need one.
+        """
+        csr = _table_csr(self._table)
+        rows = np.arange(self._m)
         if self._bfs_timer is None:
-            return KERNEL.bfs_distances(self._csr, rows)
+            return KERNEL.bfs_distances(csr, rows)
         t0 = obs_clock()
-        out = KERNEL.bfs_distances(self._csr, rows)
+        out = KERNEL.bfs_distances(csr, rows)
         self._bfs_timer.observe(obs_clock() - t0)
-        self._bfs_counter.inc(len(rows))
+        self._bfs_counter.inc(self._m)
         return out
 
     def _edit(self, removed: Sequence[_Edge], added: Sequence[_Edge]) -> int | None:
@@ -293,30 +335,60 @@ class DynamicDistanceMatrix:
 
         Returns the rows the removals repaired.  Once that count exceeds
         the row budget (``_FALLBACK_FRACTION * m``) the remaining edges
-        only update the CSR, every row is recomputed in one batched BFS
+        only update the table, every row is recomputed in one batched BFS
         (the exact fallback, :meth:`_rebuild`), and ``None`` is returned.
         """
         repaired = 0
         exact = True
         for u, v in removed:
-            self._csr = self._csr.with_edge_removed(u, v)
+            self._unlink(u, v)
             if not exact:
                 continue
-            near, far = _removal_sides(self._dist, self._csr, u, v)
+            near, far = _removal_sides(self._dist, self._table, u, v)
             repaired += len(near) + len(far)
             if repaired > self._row_budget:
                 exact = False
             else:
-                self._write(near, far, *_removal_block(self._dist, self._csr, near, far))
+                self._write(*_removal_block(self._dist, self._table, near, far))
         for u, v in added:
-            self._csr = self._csr.with_edge_added(u, v)
+            self._link(u, v)
             if exact:
                 near, far = _insertion_sides(self._dist, u, v)
-                self._write(near, far, *_insertion_block(self._dist, near, far, u, v))
+                self._write(*_insertion_block(self._dist, near, far, u, v))
         if not exact:
             self._rebuild()
             return None
         return repaired
+
+    def _unlink(self, u: int, v: int) -> None:
+        """Free the slots of edge ``{u, v}``; raises before changing anything."""
+        self._check_pair(u, v)
+        row_u, row_v = self._table[u].tolist(), self._table[v].tolist()
+        if v not in row_u or u not in row_v:
+            raise ValueError(f"no switch edge {{{u}, {v}}} to remove")
+        self._relink(u, row_u.index(v), v, u)
+        self._relink(v, row_v.index(u), u, v)
+
+    def _link(self, u: int, v: int) -> None:
+        """Fill a free slot of each endpoint, widening a full table by one column."""
+        self._check_pair(u, v)
+        row_u, row_v = self._table[u].tolist(), self._table[v].tolist()
+        if v in row_u or u in row_v:
+            raise ValueError(f"switch edge {{{u}, {v}}} already present")
+        if u not in row_u or v not in row_v:
+            free = np.arange(self._m, dtype=self._table.dtype)[:, None]
+            self._table = np.concatenate([self._table, free], axis=1)
+            row_u.append(u)
+            row_v.append(v)
+        self._relink(u, row_u.index(u), u, v)
+        self._relink(v, row_v.index(v), v, u)
+
+    def _relink(self, s: int, slot: int, old: int, new: int) -> None:
+        """Point ``s``'s table ``slot`` from switch ``old`` to ``new``.
+
+        A free slot holds ``s`` itself.
+        """
+        self._table[s, slot] = new
 
     def _write(
         self, rows: np.ndarray, cols: np.ndarray, old: np.ndarray, new: np.ndarray
@@ -329,7 +401,7 @@ class DynamicDistanceMatrix:
 
     def _rebuild(self) -> None:
         """Recompute every row in place, so a held :attr:`dist` stays live."""
-        self._dist[...] = self._bfs(np.arange(self._m))
+        self._dist[...] = self._apsp()
 
     @property
     def num_switches(self) -> int:
@@ -346,13 +418,14 @@ class DynamicDistanceMatrix:
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_pair(u, v)
-        return self._csr.has_edge(u, v)
+        return v in self._table[u].tolist()
 
     def neighbors(self, u: int) -> np.ndarray:
         """Switch ids adjacent to ``u``, ascending."""
         if not 0 <= u < self._m:
             raise ValueError(f"switch id {u} out of range [0, {self._m})")
-        return self._csr.neighbors(u).copy()
+        row = self._table[u]
+        return np.sort(row[row != u], kind="stable")
 
     def is_connected(self) -> bool:
         """Whether the switch graph is connected: one O(m) row read.
@@ -446,10 +519,11 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
             )
         self._k = graph.host_counts().astype(np.float64)
         self._value, self._weighted = self._evaluate(self._dist, self._k)
-        #: While a proposal is pending: the committed ``(csr, dist, k, value,
-        #: weighted)`` and the journal of repair steps ``(rows, cols, old
-        #: block, new block)``.
-        self._pending: tuple[tuple, list[_Step]] | None = None
+        #: While a proposal is pending: the committed ``(dist, k, value,
+        #: weighted)``, the journal of repair steps ``(rows, cols, old
+        #: block, new block)`` and the journal of table writes ``(switch,
+        #: slot, old id)``.
+        self._pending: tuple[tuple, list[_Step], list[tuple[int, int, int]]] | None = None
         self.stats = {
             "proposals": 0,
             "fallbacks": 0,
@@ -467,9 +541,13 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         self._pending[1].append((rows, cols, old, new))
         super()._write(rows, cols, old, new)
 
+    def _relink(self, s: int, slot: int, old: int, new: int) -> None:
+        self._pending[2].append((s, slot, old))
+        super()._relink(s, slot, old, new)
+
     def _rebuild(self) -> None:
         # The committed array must survive for rollback: rebind, never overwrite.
-        self._dist = self._bfs(np.arange(self._m))
+        self._dist = self._apsp()
 
     # ------------------------------------------------------------------ #
     # Value computation
@@ -504,6 +582,31 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         Changing ``k[s]`` by ``d`` against the (already repaired) matrix
         adds ``2 d sum_b k_b (d(s,b) + 2) + 2 d^2`` — with the diagonal
         convention ``d(s,s) + 2 = 2`` folded in by reading the full row.
+        Each delta's sum is one ``dist[s] @ k`` against the committed
+        counts, plus ``2 n`` and ``d' (d(s, s') + 2)`` for every earlier
+        delta ``(s', d')``; all are exact integers.  A row holding ``inf``
+        (an unreachable switch, perhaps hostless) would turn ``inf * 0``
+        into ``nan``, so such rows take :meth:`_masked_host_delta_weighted`.
+        """
+        rows = dist.take([s for s, _ in host_deltas], axis=0)
+        if np.isinf(rows).any():
+            return self._masked_host_delta_weighted(dist, host_deltas, weighted)
+        sums = (rows @ self._k).tolist()
+        for j, (_, d) in enumerate(host_deltas):
+            w = sums[j] + 2.0 * self._n
+            for t, d_t in host_deltas[:j]:
+                w += d_t * (rows.item(j, t) + 2.0)
+            weighted = weighted + 2.0 * d * w + 2.0 * (d * d)
+        return weighted
+
+    def _masked_host_delta_weighted(
+        self,
+        dist: np.ndarray,
+        host_deltas: list[tuple[int, int]],
+        weighted: float,
+    ) -> float | None:
+        """:meth:`_host_delta_weighted` over the host-bearing switches only.
+
         Returns ``None`` when ``s`` cannot reach a bearing switch (value
         is ``inf`` territory; the caller falls back to the full sum).
         """
@@ -538,8 +641,8 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         removed, added, host_deltas = self._aggregate(moves)
         self.stats["proposals"] += 1
         journal: list[_Step] = []
-        committed = (self._csr, self._dist, self._k, self._value, self._weighted)
-        self._pending = (committed, journal)
+        committed = (self._dist, self._k, self._value, self._weighted)
+        self._pending = (committed, journal, [])
         try:
             repaired = self._edit(removed, added)
         except BaseException:
@@ -582,10 +685,11 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         falls back to the full double sum.
         """
         dw = 0.0
+        k = self._k
         for rows, cols, old, new in journal:
-            if math.isinf(new[0, 0] - old[0, 0]):
+            if math.isinf(new.item(0) - old.item(0)):
                 return None
-            dw += float(self._k[rows] @ (new - old) @ self._k[cols])
+            dw += float(k.take(rows) @ (new - old) @ k.take(cols))
         weighted = self._weighted + 2.0 * dw
         if host_deltas:
             return self._host_delta_weighted(self._dist, host_deltas, weighted)
@@ -600,15 +704,19 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
     def rollback(self) -> None:
         """Discard the pending proposal (restores journaled blocks in place).
 
-        Blocks are restored newest-first: later steps' blocks may overlap
-        earlier ones, and reverse order replays the edit history backwards.
+        Blocks and table slots are restored newest-first: later steps'
+        blocks may overlap earlier ones, and reverse order replays the edit
+        history backwards.
         """
         if self._pending is None:
             raise IncrementalEvaluatorError("rollback() without a pending proposal")
-        committed, journal = self._pending
-        self._csr, self._dist, self._k, self._value, self._weighted = committed
+        committed, journal, relinked = self._pending
+        self._dist, self._k, self._value, self._weighted = committed
         for rows, cols, old, _new in reversed(journal):
             _store(self._dist, rows, cols, old)
+        table = self._table
+        for s, slot, old_id in reversed(relinked):
+            table[s, slot] = old_id
         self._pending = None
 
     def _aggregate(

@@ -5,8 +5,9 @@ construction and fallback rebuilds of the
 :class:`repro.core.incremental.DynamicDistanceMatrix` repair engine (which
 the annealer's :class:`~repro.core.incremental.IncrementalEvaluator`
 extends) — calls :data:`KERNEL`, one :class:`BitsetBackend` instance, over
-a shared :class:`CSRAdjacency`.  The engine repairs each edit from its own
-matrix, so the annealing loop itself runs no BFS.
+a :class:`CSRAdjacency`.  The engine repairs each edit from its own
+matrix and keeps its adjacency as a neighbour table, building a CSR only
+for those sweeps, so the annealing loop itself runs no BFS.
 
 :class:`repro.core.kernels.python_backend.PythonBackend`, PR 2's dense
 matmul BFS, stays in this package as the test-side reference: the

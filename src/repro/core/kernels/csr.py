@@ -7,12 +7,12 @@ across all BFS calls instead of re-deriving neighbor lists per source row.
 
 The structure is immutable by convention: :meth:`with_edge_removed` /
 :meth:`with_edge_added` return a *new* :class:`CSRAdjacency` sharing no
-mutable state with the parent.  Single-edge edits are O(E) masked copies
-(tens of microseconds at the scales this repo runs), which is what lets
-:class:`repro.core.incremental.IncrementalEvaluator` keep its committed
-CSR untouched while a proposal's scratch CSR accumulates deltas — commit
-keeps the scratch arrays, rollback just drops them.  The arrays are
-rebuilt from a graph only at construction/rebuild time, never per row.
+mutable state with the parent, as O(E) slice copies.  No code in
+``src/`` calls them: the distance engine of :mod:`repro.core.incremental`
+edits a fixed-width neighbour table in place and builds a CSR from it
+only when the kernel runs.  They stay because the end-to-end
+benchmark's tracer wraps both by name (its ``kernels.csr_copy`` layer)
+and fails without them.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ class CSRAdjacency:
 
     ``indptr`` has length ``m + 1`` and ``indices`` length ``2E`` (each
     undirected edge appears in both endpoint rows).  Rows are sorted
-    ascending, which :meth:`has_edge` and the edit methods rely on for
-    binary search.
+    ascending, which the edit methods rely on for binary search.
     """
 
     __slots__ = ("indptr", "indices", "_dense")
@@ -72,22 +71,6 @@ class CSRAdjacency:
     @property
     def num_switches(self) -> int:
         return len(self.indptr) - 1
-
-    @property
-    def num_directed_edges(self) -> int:
-        return len(self.indices)
-
-    def neighbors(self, u: int) -> np.ndarray:
-        """Neighbor ids of ``u``, ascending (a view into ``indices``)."""
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
-
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = int(np.searchsorted(row, v))
-        return i < len(row) and int(row[i]) == v
 
     def dense_float32(self) -> np.ndarray:
         """Dense float32 0/1 adjacency (cached; the reference kernel's input)."""

@@ -359,7 +359,13 @@ class TelemetryRegistry:
 
     def merge(self, snap: dict[str, Any]) -> None:
         """Fold a :meth:`snapshot` (e.g. from a worker process) into this
-        registry; its buffered events are re-emitted here, in order."""
+        registry; its buffered events are re-emitted here, in order.
+
+        Merged spans are re-rooted under the span open here at merge time:
+        their depth grows by the open stack's length, and a worker's root
+        span names the innermost open span as its parent, so a pool fan-out
+        traces as one tree.  With no span open, spans re-emit unchanged.
+        """
         for name, data in snap.get("counters", {}).items():
             self.counter(name).merge(data)
         for name, data in snap.get("gauges", {}).items():
@@ -368,7 +374,11 @@ class TelemetryRegistry:
             self.timer(name).merge(data)
         for name, data in snap.get("histograms", {}).items():
             self.histogram(name, tuple(data["bounds"])).merge(data)
+        stack = self._span_stack
         for event in snap.get("events", []):
+            if stack and event.get("kind") == "span":
+                parent = event["parent"] if event["depth"] else stack[-1].name
+                event = {**event, "depth": event["depth"] + len(stack), "parent": parent}
             self._emit(event)
 
     def _metric_events(self) -> list[dict[str, Any]]:

@@ -21,6 +21,7 @@ import repro.core.incremental as incremental
 from repro.core.incremental import (
     IncrementalEvaluator,
     IncrementalEvaluatorError,
+    _neighbour_table,
     _removal_sides,
 )
 from repro.core.kernels import CSRAdjacency
@@ -284,8 +285,8 @@ class TestRepairPrimitives:
         m = 4
         csr = CSRAdjacency.from_edges(m, [(0, 1), (1, 2), (2, 3), (0, 2)])
         dist = REFERENCE_KERNEL.bfs_distances(csr, np.arange(m))
-        stripped = csr.with_edge_removed(1, 2)
-        near, far = _removal_sides(dist, stripped, 1, 2)
+        stripped = CSRAdjacency.from_edges(m, [(0, 1), (2, 3), (0, 2)])
+        near, far = _removal_sides(dist, _neighbour_table(stripped, 3), 1, 2)
         affected = set(near.tolist()) | set(far.tolist())
         assert not set(near.tolist()) & set(far.tolist())
         after = REFERENCE_KERNEL.bfs_distances(stripped, np.arange(m))

@@ -10,12 +10,15 @@ cross-block relaxation run many rounds or exceed the row budget; sparse
 graphs, paths and switch take-downs leave disconnected intermediate
 states, whose ``inf`` rows must stay off both sides of an edit.  The
 drawn ``_FALLBACK_FRACTION`` (1, one half, or 0) makes no edit, some
-edits or every edit a full rebuild.
+edits or every edit a full rebuild.  The engine's neighbour table is
+held to the graph's adjacency after every step too, and to the
+committed adjacency after every rollback.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +42,21 @@ _BUDGETS = st.sampled_from([1.0, 0.5, 0.0])
 
 def _reference(m: int, edges) -> np.ndarray:
     return REFERENCE_KERNEL.bfs_distances(CSRAdjacency.from_edges(m, sorted(edges)), np.arange(m))
+
+
+def _assert_table(engine: DynamicDistanceMatrix, m: int, edges) -> None:
+    """The table, ``neighbors`` and ``has_edge`` all agree with ``edges``."""
+    adjacency: list[list[int]] = [[] for _ in range(m)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    for s, row in enumerate(engine._table.tolist()):
+        expected = sorted(adjacency[s])
+        assert sorted(t for t in row if t != s) == expected, f"row {s}"
+        assert engine.neighbors(s).tolist() == expected
+        assert all(engine.has_edge(s, t) for t in expected)
+        absent = next((t for t in range(m) if t != s and t not in expected), None)
+        assert absent is None or not engine.has_edge(s, absent)
 
 
 @st.composite
@@ -132,6 +150,7 @@ def test_engine_matches_reference_after_every_edit(graph, edits, budget):
         assert ddm.dist is view  # repairs and rebuilds both write in place
         assert np.array_equal(ddm.dist, expected)
         assert ddm.is_connected() == bool(np.isfinite(expected).all())
+        _assert_table(ddm, m, live)
 
 
 def _oriented(edges: list[_Edge], pick: int) -> _Edge:
@@ -188,6 +207,7 @@ def _moves(graph: HostSwitchGraph, kind: str, picks: tuple[int, ...]) -> list:
 def _assert_exact(evaluator: IncrementalEvaluator, graph: HostSwitchGraph) -> None:
     m = graph.num_switches
     assert np.array_equal(evaluator.dist, _reference(m, graph.switch_edges()))
+    _assert_table(evaluator, m, graph.switch_edges())
     expected = h_aspl(graph)
     if math.isinf(expected):
         assert math.isinf(evaluator.value)
@@ -230,3 +250,57 @@ def test_fallback_rebuild_inside_the_first_proposal_rolls_back():
     move.undo(graph)
     assert evaluator.dist is committed
     assert np.array_equal(evaluator.dist, before) and evaluator.value == value
+
+
+def _ring(m: int, radix: int, hosts=()) -> HostSwitchGraph:
+    return HostSwitchGraph.from_edges(m, radix, [(s, (s + 1) % m) for s in range(m)], hosts)
+
+
+def test_rejected_edits_leave_matrix_and_table_untouched():
+    ddm = DynamicDistanceMatrix(_ring(8, 3))
+    dist, table = ddm.dist.copy(), ddm._table.copy()
+    with pytest.raises(ValueError, match=r"no switch edge \{0, 2\} to remove"):
+        ddm.remove_edge(0, 2)
+    with pytest.raises(ValueError, match=r"switch edge \{3, 4\} already present"):
+        ddm.add_edge(3, 4)
+    assert np.array_equal(ddm.dist, dist)
+    assert np.array_equal(ddm._table, table)
+
+
+def test_failed_proposal_restores_matrix_and_table():
+    """An edit that raises mid-proposal rolls back the edits before it."""
+    graph = _ring(10, 3, range(10))
+    evaluator = _budgeted(IncrementalEvaluator, graph, 1.0)
+    dist, table, value = evaluator.dist.copy(), evaluator._table.copy(), evaluator.value
+    # The first swap's edges exist and are repaired away; {2, 4} is absent.
+    moves = [SwapMove(0, 1, 5, 6), SwapMove(2, 4, 7, 9)]
+    with pytest.raises(ValueError, match="no switch edge"):
+        evaluator.propose(moves)
+    assert np.array_equal(evaluator.dist, dist)
+    assert np.array_equal(evaluator._table, table)
+    assert evaluator.value == value
+    evaluator.propose(SwapMove(0, 1, 5, 6))  # no proposal left pending
+
+
+def test_add_edge_to_a_full_row_widens_the_table():
+    ddm = DynamicDistanceMatrix(_ring(6, 2))
+    assert ddm._table.shape == (6, 2)
+    ddm.add_edge(0, 3)
+    assert ddm._table.shape == (6, 3)
+    live = {(s, (s + 1) % 6) for s in range(6)} | {(0, 3)}
+    _assert_table(ddm, 6, live)
+    assert np.array_equal(ddm.dist, _reference(6, {(min(e), max(e)) for e in live}))
+
+
+def test_swing_beside_an_unreachable_hostless_switch_warns_nothing():
+    """Host deltas read rows with ``inf`` where the isolated switch sits."""
+    ring = [(s, (s + 1) % 6) for s in range(6)]
+    graph = HostSwitchGraph.from_edges(7, 4, ring, [0, 0, 1, 3, 4, 5])
+    evaluator = IncrementalEvaluator(graph)
+    onto = SwingMove(1, 2, 4)  # a host onto hostless switch 2, off switch 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for move in (onto, onto.inverse()):
+            move.apply(graph)
+            assert evaluator.propose(move) == h_aspl(graph)  # repro-lint: disable=REP004 -- bit-identity contract
+            evaluator.commit()

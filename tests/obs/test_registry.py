@@ -12,6 +12,7 @@ from repro.obs import (
     MemorySink,
     NullTelemetry,
     TelemetryRegistry,
+    build_span_trees,
 )
 
 
@@ -213,6 +214,40 @@ class TestSnapshotMerge:
         parent.add_sink(sink)
         parent.merge(self._populated(7).snapshot())
         assert [e["name"] for e in sink.events] == ["tagged"]
+
+    @staticmethod
+    def _worker_spans() -> dict:
+        worker = TelemetryRegistry("worker")
+        with worker.span("run"):
+            with worker.span("step"):
+                pass
+        return worker.snapshot()
+
+    def test_merged_spans_nest_under_the_open_span(self):
+        parent = TelemetryRegistry()
+        sink = MemorySink()
+        parent.add_sink(sink)
+        snap = self._worker_spans()
+        with parent.span("outer"):
+            with parent.span("fan_out"):
+                parent.merge(snap)
+        assert [(e["name"], e["depth"], e["parent"]) for e in sink.events] == [
+            ("step", 3, "run"), ("run", 2, "fan_out"),
+            ("fan_out", 1, "outer"), ("outer", 0, None),
+        ]
+        (root,) = build_span_trees(sink.events)
+        assert root.name == "outer"
+        # The snapshot itself is left as the worker wrote it.
+        assert [(e["depth"], e["parent"]) for e in snap["events"]] == [(1, "run"), (0, None)]
+
+    def test_merge_with_no_open_span_keeps_spans_as_they_were(self):
+        parent = TelemetryRegistry()
+        sink = MemorySink()
+        parent.add_sink(sink)
+        parent.merge(self._worker_spans())
+        assert [(e["name"], e["depth"], e["parent"]) for e in sink.events] == [
+            ("step", 1, "run"), ("run", 0, None),
+        ]
 
 
 class TestSpans:

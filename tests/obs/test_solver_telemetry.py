@@ -114,11 +114,9 @@ class TestTelemetryMerge:
             (event,) = [e["fields"] for e in sink.events if e.get("name") == "solver.restart"]
             assert event.get("seed") == expected
 
-    def test_span_wraps_the_fan_out(self):
-        _, _, sink = self._traced(jobs=1)
+    def _assert_one_fan_out_tree(self, jobs: int) -> None:
+        _, _, sink = self._traced(jobs=jobs)
         spans = [e for e in sink.events if e.get("kind") == "span"]
-        # Serial restarts anneal under the caller's registry, so each
-        # anneal.run closes inside the fan-out span.
         assert [s["name"] for s in spans] == [
             "anneal.run"
         ] * 3 + ["solver.anneal_restarts"]
@@ -128,6 +126,18 @@ class TestTelemetryMerge:
             (s["depth"], s["parent"]) == (1, "solver.anneal_restarts")
             for s in spans[:-1]
         )
+        (root,) = build_span_trees(sink.events)
+        assert [child.name for child in root.children] == ["anneal.run"] * 3
+
+    def test_span_wraps_the_fan_out(self):
+        # Serial restarts anneal under the caller's registry, so each
+        # anneal.run closes inside the fan-out span.
+        self._assert_one_fan_out_tree(jobs=1)
+
+    def test_pool_spans_nest_under_the_fan_out(self):
+        # Pool workers anneal under private registries; their merged
+        # anneal.run spans re-root under the fan-out span, open at merge.
+        self._assert_one_fan_out_tree(jobs=2)
 
 
 class TestSerialTraceIsLive:
