@@ -177,15 +177,14 @@ def _neighbour_table(csr: CSRAdjacency, width: int) -> np.ndarray:
 
 
 def _table_csr(table: np.ndarray) -> CSRAdjacency:
-    """The CSR of a neighbour table (ascending rows, free slots dropped)."""
-    m = len(table)
-    own = np.arange(m, dtype=table.dtype)[:, None]
-    # Free slots sort last under the key ``m``.  A stable sort, because the
-    # default one loads NumPy's SIMD sort, which costs 0.5 MiB of peak RSS.
-    keyed = np.sort(np.where(table == own, m, table), axis=1, kind="stable")
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum((keyed < m).sum(axis=1), out=indptr[1:])
-    return CSRAdjacency(indptr, keyed[keyed < m])
+    """The CSR of a neighbour table: rows in slot order, free slots dropped.
+
+    The rows are unsorted, which the kernel accepts.
+    """
+    keep = table != np.arange(len(table), dtype=table.dtype)[:, None]
+    indptr = np.zeros(len(table) + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return CSRAdjacency(indptr, table[keep])
 
 
 def _removal_sides(
@@ -586,39 +585,18 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         counts, plus ``2 n`` and ``d' (d(s, s') + 2)`` for every earlier
         delta ``(s', d')``; all are exact integers.  A row holding ``inf``
         (an unreachable switch, perhaps hostless) would turn ``inf * 0``
-        into ``nan``, so such rows take :meth:`_masked_host_delta_weighted`.
+        into ``nan``, so it returns ``None`` and the caller takes the full
+        sum over the host-bearing switches.
         """
         rows = dist.take([s for s, _ in host_deltas], axis=0)
         if np.isinf(rows).any():
-            return self._masked_host_delta_weighted(dist, host_deltas, weighted)
+            return None
         sums = (rows @ self._k).tolist()
         for j, (_, d) in enumerate(host_deltas):
             w = sums[j] + 2.0 * self._n
             for t, d_t in host_deltas[:j]:
                 w += d_t * (rows.item(j, t) + 2.0)
             weighted = weighted + 2.0 * d * w + 2.0 * (d * d)
-        return weighted
-
-    def _masked_host_delta_weighted(
-        self,
-        dist: np.ndarray,
-        host_deltas: list[tuple[int, int]],
-        weighted: float,
-    ) -> float | None:
-        """:meth:`_host_delta_weighted` over the host-bearing switches only.
-
-        Returns ``None`` when ``s`` cannot reach a bearing switch (value
-        is ``inf`` territory; the caller falls back to the full sum).
-        """
-        k_run = self._k.copy()
-        for s, d in host_deltas:
-            bearing = np.flatnonzero(k_run > 0)
-            row = dist[s][bearing]
-            if np.isinf(row).any():
-                return None
-            w = float((row + 2.0) @ k_run[bearing])
-            weighted = weighted + 2.0 * d * w + 2.0 * (d * d)
-            k_run[s] += d
         return weighted
 
     # ------------------------------------------------------------------ #

@@ -1,9 +1,9 @@
 """Shared CSR switch-adjacency for the BFS kernel.
 
 The kernel and its test reference consume the same compressed-sparse-row
-structure — ``indptr``/``indices`` ``int32`` arrays with per-row
-**sorted** neighbor lists — so a graph is converted once and then shared
-across all BFS calls instead of re-deriving neighbor lists per source row.
+structure — ``indptr``/``indices`` ``int32`` arrays — so a graph is
+converted once and then shared across all BFS calls instead of
+re-deriving neighbor lists per source row.
 
 The structure is immutable by convention: :meth:`with_edge_removed` /
 :meth:`with_edge_added` return a *new* :class:`CSRAdjacency` sharing no
@@ -23,11 +23,14 @@ __all__ = ["CSRAdjacency"]
 
 
 class CSRAdjacency:
-    """Undirected switch adjacency in CSR form (``int32``, sorted rows).
+    """Undirected switch adjacency in CSR form (``int32``).
 
     ``indptr`` has length ``m + 1`` and ``indices`` length ``2E`` (each
-    undirected edge appears in both endpoint rows).  Rows are sorted
-    ascending, which the edit methods rely on for binary search.
+    undirected edge appears in both endpoint rows).  The kernel does not
+    need sorted rows, and a CSR built from the neighbour table of
+    :mod:`repro.core.incremental` keeps each row in slot order.  The
+    constructors sort rows ascending, which the edit methods rely on for
+    binary search.
     """
 
     __slots__ = ("indptr", "indices", "_dense")
