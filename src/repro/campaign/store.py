@@ -116,6 +116,18 @@ class ScanBest:
     count)."""
 
 
+@dataclass(frozen=True)
+class _Verified:
+    """One digest's last :meth:`CampaignStore.verify_entry` verdict."""
+
+    point_path: Path
+    graph_path: Path
+    key: tuple[int, int, int, int] | None = None
+    """Stat identity of ``point.json`` when it was read (``None``: never)."""
+    point: dict[str, Any] | None = None
+    """The parsed point, or ``None`` when it did not verify."""
+
+
 def _writer_temp(path: Path) -> Path:
     """A temp sibling of ``path`` private to this process and thread.
 
@@ -221,6 +233,8 @@ class CampaignStore:
         self.name = name
         self.dir = self.root / name
         self.points_dir = self.dir / "points"
+        self._verified: dict[str, _Verified] = {}
+        """:meth:`verify_entry`'s memo, per digest."""
 
     # ------------------------------------------------------------- spec --
 
@@ -480,23 +494,49 @@ class CampaignStore:
         return None
 
     def verify_entry(self, entry: IndexEntry) -> BestPoint | None:
-        """Cheap artifact check for one index candidate (O(1) reads).
+        """Cheap artifact check for one index candidate.
 
-        ``None`` when the entry's artifacts no longer verify on disk —
-        callers (``best_for``, the serve layer's warm caches) fall through
-        to the next candidate.
+        ``None`` when the entry's artifacts no longer verify on disk: the
+        graph is gone, or ``point.json`` is missing, unreadable or names
+        a ``kind`` — callers (``best_for``, the serve layer's warm caches)
+        fall through to the next candidate.
+
+        The verdict is memoized per digest with the stat identity of
+        ``point.json`` (inode, size, mtime and ctime in nanoseconds), so
+        re-verifying an unchanged entry costs one ``stat`` per file and
+        no open or parse; a missing, replaced or rewritten file is read
+        again.  Store writes replace files by rename (a new inode), so a
+        re-published point always re-reads.  Blind spot: an in-place
+        rewrite that keeps the size and lands within one mtime and ctime
+        tick goes unseen — the same one :class:`IndexCursor` has, and
+        only a foreign tool can produce it.
         """
-        graph = self.graph_path(entry.digest)
-        if not graph.exists():
+        memo = self._verified.get(entry.digest)
+        if memo is None:
+            pdir = self.point_dir(entry.digest)
+            memo = _Verified(pdir / _POINT_FILE, pdir / _GRAPH_FILE)
+        try:
+            st = os.stat(memo.point_path)
+        except OSError:
             return None
-        point = _read_json_opt(self.point_dir(entry.digest) / _POINT_FILE)
-        if not isinstance(point, dict) or "kind" in point:
+        if not os.path.exists(memo.graph_path):
+            return None
+        key = (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        if memo.key != key:
+            # Stat before the read: a file replaced in between leaves the
+            # new point under the old key, which the next call re-reads;
+            # the other order could keep the old point under the new key.
+            point = _read_json_opt(memo.point_path)
+            ok = isinstance(point, dict) and "kind" not in point
+            memo = _Verified(memo.point_path, memo.graph_path, key, point if ok else None)
+            self._verified[entry.digest] = memo
+        if memo.point is None:
             return None
         return BestPoint(
             digest=entry.digest,
-            point=point,
+            point=dict(memo.point),
             h_aspl=entry.h_aspl,
-            graph_path=graph,
+            graph_path=memo.graph_path,
         )
 
     def best_for_scan(self, n: int, r: int) -> ScanBest:

@@ -14,12 +14,15 @@ and aggregation sums across all of them.
 On top of the forest:
 
 - :func:`span_rollup` — per-name count / cumulative / **self-time** /
-  max attribution (self time = duration minus the direct children's);
+  max attribution (self time = duration minus the time the direct
+  children cover: the union of their intervals, so children that ran at
+  once, like a parallel fan-out's workers, are not subtracted twice);
 - :func:`critical_path` — the heaviest root-to-leaf chain of a tree;
 - :func:`folded_stacks` / :func:`format_folded` — ``root;child;leaf N``
   folded-stack lines (self time in integer microseconds), the input
-  format of standard flamegraph renderers.  Per tree, the folded values
-  sum back to the root's cumulative duration exactly;
+  format of standard flamegraph renderers.  Per tree whose children never
+  overlap, the folded values sum back to the root's cumulative duration
+  exactly;
 - :func:`analyze_report` — the ``repro telemetry analyze`` text report:
   span trees, attribution table, critical path, per-phase annealing
   breakdown, and per-kernel timer breakdown.
@@ -67,8 +70,36 @@ class SpanNode:
 
     @property
     def self_time_s(self) -> float:
-        """Duration not attributed to any direct child (clamped at 0)."""
-        return max(0.0, self.duration_s - sum(c.duration_s for c in self.children))
+        """Duration not covered by any direct child (clamped at 0).
+
+        Subtracts the union of the children's ``[start_ts, ts]``
+        intervals, clipped to this span's own, so children that ran at
+        once count once.  Sequential children inside the span subtract
+        exactly their durations.
+        """
+        covered = 0.0
+        reach = self.start_ts  # covered up to here
+        for child in sorted(self.children, key=lambda c: c.start_ts):
+            # The child's part before ``reach`` or after this span's end
+            # is covered already or lies outside it.
+            cut = max(0.0, reach - child.start_ts) + max(0.0, child.ts - self.ts)
+            covered += max(0.0, child.duration_s - cut)
+            reach = max(reach, child.ts)
+        return max(0.0, self.duration_s - covered)
+
+    @property
+    def concurrency(self) -> int:
+        """Most direct children running at once (1 when they ran one
+        after another, 0 without children)."""
+        # At equal times an end (-1) sorts before a start: back-to-back
+        # children do not overlap.
+        edges = sorted([(c.start_ts, 1) for c in self.children]
+                       + [(c.ts, -1) for c in self.children])
+        running = peak = 0
+        for _, step in edges:
+            running += step
+            peak = max(peak, running)
+        return peak
 
 
 def build_span_trees(records: list[dict[str, Any]]) -> list[SpanNode]:
@@ -128,7 +159,8 @@ def span_rollup(roots: list[SpanNode]) -> dict[str, dict[str, float]]:
 
     Returns ``name -> {count, total_s, self_s, max_s, errors}`` where
     ``total_s`` is cumulative (wall-clock inside the span) and ``self_s``
-    excludes time attributed to direct children.  Same-named spans from
+    excludes the time the direct children cover
+    (:attr:`SpanNode.self_time_s`).  Same-named spans from
     merged worker snapshots aggregate into one row.
     """
     out: dict[str, dict[str, float]] = {}
@@ -160,9 +192,12 @@ def folded_stacks(roots: list[SpanNode]) -> dict[str, float]:
     """Self-time-per-stack map: ``"root;child;leaf" -> seconds``.
 
     Each node contributes its *self* time under its full ancestry path, so
-    for every tree the values sum back to the root's cumulative duration
-    (children's time is never double-counted).  Identical stacks — e.g.
-    the same span chain across merged restarts — accumulate.
+    for every tree whose children never overlap the values sum back to the
+    root's cumulative duration (children's time is never double-counted).
+    Where children ran at once, each still contributes its whole time and
+    the sum exceeds the root's: a flamegraph of it reads as time summed
+    over workers, not wall time.  Identical stacks — e.g. the same span
+    chain across merged restarts — accumulate.
     """
     folded: dict[str, float] = {}
 
@@ -195,9 +230,11 @@ def format_folded(folded: dict[str, float]) -> str:
 def _tree_lines(node: SpanNode, indent: int = 0) -> list[str]:
     mark = " [orphaned: parent never exited]" if node.orphaned else ""
     err = " [error]" if node.status == "error" else ""
+    concurrency = node.concurrency
+    overlap = f" [{concurrency} concurrent children]" if concurrency > 1 else ""
     lines = [
         f"{'  ' * indent}{node.name}  {node.duration_s:.4f}s "
-        f"(self {node.self_time_s:.4f}s){err}{mark}"
+        f"(self {node.self_time_s:.4f}s){overlap}{err}{mark}"
     ]
     for child in node.children:
         lines.extend(_tree_lines(child, indent + 1))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
@@ -71,7 +71,9 @@ class QueryAnswer:
     ``"in-flight"``, ``"disabled"``, or ``None`` (index hit; no miss)."""
 
     def to_dict(self) -> dict[str, Any]:
-        record = asdict(self)
+        # The fields with a shallow copy of ``detail``, whose values are
+        # scalars: ``asdict``'s deep copy cost 18-50 us per answer.
+        record = {**vars(self), "detail": dict(self.detail)}
         return {
             k: v
             for k, v in record.items()

@@ -172,33 +172,36 @@ class TopologyService:
         self.counts["queries"] += 1
         self.tel.event("serve.request", n=n, r=r)
         t0 = obs_clock()
-        answer = self._answer(n, r)
+        answer, unverified = self._answer(n, r)
         self.tel.timer("serve.query_s").observe(obs_clock() - t0)
         if answer.source == "index":
             self.counts["hits"] += 1
-            self.tel.event("serve.hit", n=n, r=r, h_aspl=answer.h_aspl)
+            self.tel.event(
+                "serve.hit", n=n, r=r, h_aspl=answer.h_aspl, unverified=unverified
+            )
         else:
             self.counts["misses"] += 1
-            self.tel.event("serve.miss", n=n, r=r, source=answer.source)
+            self.tel.event(
+                "serve.miss", n=n, r=r, source=answer.source, unverified=unverified
+            )
             answer = dataclasses.replace(answer, refine=self._start_refine(n, r))
         return answer
 
-    def _answer(self, n: int, r: int) -> QueryAnswer:
-        """Resolve one key: index -> compose prediction -> bounds."""
-        from repro.compose.mizuno import plan_composition
-        from repro.compose.predict import predict_h_aspl, predict_host_diameter
-        from repro.core.bounds import (
-            diameter_lower_bound,
-            h_aspl_lower_bound,
-            lacin_h_aspl_baseline,
-        )
+    def _answer(self, n: int, r: int) -> tuple[QueryAnswer, int]:
+        """Resolve one key: index -> compose prediction -> bounds.
 
+        Also returns how many of the key's index candidates failed
+        verification on the way (the ``unverified`` field of
+        ``serve.hit`` / ``serve.miss``: why a stored key missed).
+        """
         boards = [shard.refresh() for shard in self._shards]
         best: tuple[Any, str] | None = None
+        unverified = 0
         for shard, board in zip(self._shards, boards):
             for entry in board.candidates(n, r):
                 verified = shard.store.verify_entry(entry)
                 if verified is None:
+                    unverified += 1
                     continue
                 if best is None or (verified.h_aspl, verified.digest) < (
                     best[0].h_aspl,
@@ -216,7 +219,19 @@ class TopologyService:
                 digest=point.digest,
                 campaign=campaign,
                 graph_path=str(point.graph_path),
-            )
+            ), unverified
+        return self._fallback(n, r, boards), unverified
+
+    def _fallback(self, n: int, r: int, boards: list[Leaderboard]) -> QueryAnswer:
+        """A key with no verified index entry: compose prediction, else bounds."""
+        from repro.compose.mizuno import plan_composition
+        from repro.compose.predict import predict_h_aspl, predict_host_diameter
+        from repro.core.bounds import (
+            diameter_lower_bound,
+            h_aspl_lower_bound,
+            lacin_h_aspl_baseline,
+        )
+
         bounds = {
             "h_aspl_lower_bound": h_aspl_lower_bound(n, r),
             "diameter_lower_bound": diameter_lower_bound(n, r),

@@ -122,6 +122,48 @@ class TestBuildSpanTrees:
         assert root.self_time_s == 0.0
 
 
+class TestConcurrentChildren:
+    """A parallel fan-out's workers run at once under one parent span."""
+
+    def test_overlapping_children_subtract_their_union(self):
+        records = [
+            span("anneal.run", 1.9, 0.8, 1, parent="fan-out"),  # [1.1, 1.9]
+            span("anneal.run", 1.7, 0.9, 1, parent="fan-out"),  # [0.8, 1.7]
+            span("fan-out", 2.0, 1.5, 0),  # [0.5, 2.0]
+        ]
+        (root,) = build_span_trees(records)
+        # The union [0.8, 1.9] covers 1.1 s; the children's sum (1.7 s)
+        # would leave no self time at all.
+        assert root.self_time_s == pytest.approx(1.5 - 1.1)
+        assert root.concurrency == 2
+        assert span_rollup([root])["fan-out"]["self_s"] == pytest.approx(0.4)
+        assert "fan-out  1.5000s (self 0.4000s) [2 concurrent children]" in (
+            analyze_report(records)
+        )
+
+    def test_children_clipped_to_the_parent(self):
+        records = [
+            span("a", 1.2, 0.6, 1, parent="root"),  # [0.6, 1.2], starts early
+            span("b", 1.1, 0.2, 1, parent="root"),  # [0.9, 1.1], inside a
+            span("root", 2.0, 1.0, 0),  # [1.0, 2.0]
+        ]
+        (root,) = build_span_trees(records)
+        assert root.self_time_s == pytest.approx(1.0 - 0.2)
+
+    def test_sequential_children_read_as_before(self):
+        records = [
+            span("child_a", 1.0, 0.4, 1, parent="root"),
+            span("child_b", 1.9, 0.8, 1, parent="root"),
+            span("root", 2.0, 1.9, 0),
+        ]
+        (root,) = build_span_trees(records)
+        assert root.self_time_s == root.duration_s - sum(
+            c.duration_s for c in root.children
+        )
+        assert root.concurrency == 1
+        assert "concurrent" not in analyze_report(records)
+
+
 class TestFoldedStacks:
     def test_folded_values_sum_to_root_duration(self):
         records = [

@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import logging
+import os
+import socket
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.campaign.store import CampaignStore
 from repro.compose.blocks import resolve_block
 from repro.serve import ServeConfig, TopologyServer
@@ -227,3 +237,224 @@ class TestServerEndToEnd:
             await server.aclose()
 
         asyncio.run(run())
+
+
+HOST = "127.0.0.1"
+
+
+@pytest.fixture
+def no_kept_connection():
+    """Start and end without a kept client connection."""
+    client._close_kept()
+    yield
+    client._close_kept()
+
+
+@pytest.fixture
+def accepted(monkeypatch):
+    """Peer addresses of the connections every server accepts."""
+    peers: list[tuple[str, int]] = []
+    handle = TopologyServer._handle_connection
+
+    async def counting(self, reader, writer):
+        peers.append(writer.get_extra_info("peername"))
+        await handle(self, reader, writer)
+
+    monkeypatch.setattr(TopologyServer, "_handle_connection", counting)
+    return peers
+
+
+class _Stub:
+    """A TCP listener that plays ``script`` on each connection it accepts:
+    per request line read, bytes are sent back and ``None`` closes the
+    connection; past the script's end it holds the connection open and
+    never answers."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.accepted = 0
+        self._listener = socket.create_server((HOST, 0))
+        self._listener.settimeout(0.05)
+        self.port = self._listener.getsockname()[1]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.accepted += 1
+            with conn, conn.makefile("rb") as reader:
+                for reply in self.script:
+                    if not reader.readline() or reply is None:
+                        break
+                    conn.sendall(reply)
+                else:
+                    reader.read()  # silent until the client hangs up
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=10)
+        self._listener.close()
+
+
+@pytest.mark.usefixtures("no_kept_connection")
+class TestKeptConnection:
+    """The client keeps its connection open between calls."""
+
+    def test_sequential_calls_share_one_connection(self, seeded_root, accepted):
+        server = _server(seeded_root, refine=False)
+
+        async def run():
+            await server.start()
+            port = server.bound_port
+            answers = await _call(
+                lambda: [client.query(HOST, port, 16, 4) for _ in range(50)]
+            )
+            await server.aclose()
+            return answers
+
+        answers = asyncio.run(run())
+        assert [a["source"] for a in answers] == ["index"] * 50
+        assert len(accepted) == 1
+
+    def test_restarted_server_is_reached_by_one_retry(self, seeded_root, accepted):
+        first = _server(seeded_root, refine=False)
+
+        async def run():
+            await first.start()
+            port = first.bound_port
+            before = await _call(client.query, HOST, port, 16, 4)
+            await first.aclose()  # closes the kept connection's far end
+            second = TopologyServer(first.service.config, port=port)
+            await second.start()
+            after = await _call(client.query, HOST, port, 16, 4)
+            await second.aclose()
+            return before, after
+
+        before, after = asyncio.run(run())
+        assert after == before
+        assert len(accepted) == 2
+
+    def test_unanswered_fresh_connection_still_raises(self):
+        stub = _Stub([None])
+        try:
+            with pytest.raises(client.ServerError, match="closed the connection without"):
+                client.ping(HOST, stub.port, timeout=5)
+        finally:
+            stub.close()
+        assert stub.accepted == 1
+
+    def test_timeout_is_not_retried(self):
+        stub = _Stub([encode_line({"ok": True, "result": {"pong": True}})])
+        try:
+            assert client.ping(HOST, stub.port)  # now kept
+            t0 = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                client.ping(HOST, stub.port, timeout=1.0)
+            elapsed = time.perf_counter() - t0
+        finally:
+            stub.close()
+        assert stub.accepted == 1
+        assert elapsed < 2.0  # one timeout, not two
+
+    def test_parallel_threads_get_their_own_answers(self, seeded_root):
+        server = _server(seeded_root, refine=False)
+        keys = [(16, 4), (20, 4), (12, 4), (24, 5)]
+
+        async def run():
+            await server.start()
+            port = server.bound_port
+
+            def ask(n, r):
+                return [client.query(HOST, port, n, r) for _ in range(25)]
+
+            answers = await asyncio.gather(*[_call(ask, n, r) for n, r in keys])
+            await server.aclose()
+            return answers
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the slot between threads often
+        try:
+            results = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+        for (n, r), answers in zip(keys, results):
+            assert [(a["n"], a["r"]) for a in answers] == [(n, r)] * 25
+            assert len({json.dumps(a, sort_keys=True) for a in answers}) == 1
+
+    def test_exited_thread_leaves_no_open_socket(self, seeded_root):
+        server = _server(seeded_root, refine=False)
+
+        async def run():
+            await server.start()
+            port = server.bound_port
+            worker = threading.Thread(
+                target=lambda: [client.query(HOST, port, 16, 4) for _ in range(3)]
+            )
+            worker.start()
+            await asyncio.to_thread(worker.join, 30)
+            assert not worker.is_alive()
+            await server.aclose()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            asyncio.run(run())
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaked == [], [str(w.message) for w in leaked]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_opens_its_own_connection(self, seeded_root, tmp_path):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        port_file = tmp_path / "port"
+        port = None
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--store", str(seeded_root),
+             "--campaigns", "seed", "--no-refine", "--port", "0",
+             "--port-file", str(port_file)],
+            env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (port_file.exists() and port_file.read_text().strip()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            port = int(port_file.read_text())
+            answer = client.query(HOST, port, 16, 4)
+            parent_end = client._kept.sock.getsockname()
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: report its answer and its connection
+                code = 1
+                try:
+                    os.close(read_fd)
+                    child_answer = client.query(HOST, port, 16, 4)
+                    child_end = client._kept.sock.getsockname()
+                    os.write(write_fd, json.dumps([child_answer, child_end]).encode())
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            with os.fdopen(read_fd, "rb") as pipe:
+                report = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            child_answer, child_end = json.loads(report)
+            assert child_answer == answer
+            assert tuple(child_end) != parent_end
+            # The parent's connection is untouched by the child.
+            assert client.query(HOST, port, 16, 4) == answer
+            assert client._kept.sock.getsockname() == parent_end
+        finally:
+            if port is not None:
+                client.shutdown(HOST, port)
+            else:
+                proc.kill()
+            proc.wait(timeout=30)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import os
 import shutil
 import tempfile
@@ -181,6 +182,97 @@ class TestAnswers:
             predict.predict_h_aspl(summary, copies) for copies in (2, 2, 3, 2)
         ]
         assert missing.source == "bounds"  # verified on every answer
+
+
+def _replace_file(path, data):
+    """Atomically replace ``path`` (a new inode), as store writers do."""
+    tmp = path.with_name(path.name + ".test.tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+def _tear(store, digest):
+    path = store.point_dir(digest) / "point.json"
+    path.write_text("{ torn")
+
+
+def _kind(store, digest):
+    path = store.point_dir(digest) / "point.json"
+    point = json.loads(path.read_text())
+    _replace_file(path, json.dumps({**point, "kind": "compose"}).encode())
+
+
+def _delete_graph(store, digest):
+    store.graph_path(digest).unlink()
+
+
+class TestVerificationMemo:
+    """verify_entry memoizes its verdict by the stat of the files it checks."""
+
+    @pytest.fixture
+    def two_points(self, tmp_path):
+        """A store with two solved (16, 4) points, best first, and a saved
+        copy of each point directory's files."""
+        store = CampaignStore(tmp_path, "seed")
+        resolve_block(16, 4, store=store, steps=60)
+        resolve_block(16, 4, store=store, use_best=False, steps=60, seed=1)
+        best, runner_up = best_candidates(store.index_entries(), 16, 4)
+        saved = {
+            path: path.read_bytes()
+            for entry in (best, runner_up)
+            for path in store.point_dir(entry.digest).iterdir()
+        }
+        return tmp_path, store, best, runner_up, saved
+
+    @pytest.mark.parametrize("corrupt", [_tear, _kind, _delete_graph])
+    def test_a_changed_point_falls_through_and_restores(self, two_points, corrupt):
+        root, store, best, runner_up, saved = two_points
+        tel = TelemetryRegistry("t")
+        sink = MemorySink()
+        tel.add_sink(sink)
+        service = TopologyService(_config(root, refine=False), telemetry=tel)
+
+        async def run():
+            warm = await service.query(16, 4)  # verified once: the memo is warm
+            corrupt(store, best.digest)
+            fallen = await service.query(16, 4)
+            _delete_graph(store, runner_up.digest)
+            floor = await service.query(16, 4)
+            for path, data in saved.items():
+                _replace_file(path, data)
+            restored = await service.query(16, 4)
+            await service.aclose()
+            return warm, fallen, floor, restored
+
+        warm, fallen, floor, restored = asyncio.run(run())
+        assert (warm.source, warm.digest) == ("index", best.digest)
+        assert (fallen.source, fallen.digest) == ("index", runner_up.digest)
+        assert floor.source == "bounds"
+        assert (restored.source, restored.digest) == ("index", best.digest)
+        reports = [
+            (e["name"], e["fields"]["unverified"])
+            for e in sink.events
+            if e["name"] in ("serve.hit", "serve.miss")
+        ]
+        assert reports == [
+            ("serve.hit", 0), ("serve.hit", 1), ("serve.miss", 2), ("serve.hit", 0),
+        ]
+
+    def test_repeated_verification_opens_no_file(self, two_points, monkeypatch):
+        from repro.campaign import store as store_module
+
+        _, store, best, _, _ = two_points
+        reads = []
+        read = store_module._read_json_opt
+        monkeypatch.setattr(
+            store_module, "_read_json_opt", lambda path: reads.append(path) or read(path)
+        )
+        first = store.verify_entry(best)
+        assert len(reads) == 1
+        assert [store.verify_entry(best) for _ in range(3)] == [first] * 3
+        assert len(reads) == 1  # unchanged files: stat only
+        first.point["n"] = -1  # a caller's edit does not reach the memo
+        assert store.verify_entry(best).point["n"] == 16
 
 
 _SHAPES = ((16, 4), (20, 4), (16, 5))
