@@ -16,69 +16,52 @@ Public API highlights
 - :mod:`repro.simulation` — flow-level MPI simulator + NAS skeletons.
 - :mod:`repro.partition` — multilevel partitioner (bandwidth metric).
 - :mod:`repro.layout` — floorplan, cabling, power and cost models.
+
+Importing ``repro`` imports none of its subpackages: a public name's
+submodule is imported when the name is first used (:mod:`repro._lazy`;
+the core, campaign, analysis, serve, compose, topologies and obs packages
+do the same), so a command loads only what it runs.
 """
 
-from repro.core import (
-    AnnealingResult,
-    AnnealingSchedule,
-    HostSwitchGraph,
-    ODPSolution,
-    ORPSolution,
-    anneal,
-    solve_odp,
-    clique_host_switch_graph,
-    continuous_moore_bound,
-    diameter,
-    diameter_lower_bound,
-    h_aspl,
-    h_aspl_and_diameter,
-    h_aspl_lower_bound,
-    lacin_h_aspl_baseline,
-    lacin_max_hosts,
-    lacin_switch_count,
-    load_graph,
-    moore_aspl_lower_bound,
-    optimal_switch_count,
-    random_host_switch_graph,
-    random_regular_host_switch_graph,
-    regular_h_aspl_lower_bound,
-    save_graph,
-    shimizu_mori_aspl_lower_bound,
-    shimizu_mori_h_aspl_lower_bound,
-    solve_orp,
-    star_host_switch_graph,
-)
+from repro._lazy import export_lazily
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AnnealingResult",
-    "AnnealingSchedule",
-    "HostSwitchGraph",
-    "ODPSolution",
-    "ORPSolution",
-    "anneal",
-    "solve_odp",
-    "clique_host_switch_graph",
-    "continuous_moore_bound",
-    "diameter",
-    "diameter_lower_bound",
-    "h_aspl",
-    "h_aspl_and_diameter",
-    "h_aspl_lower_bound",
-    "lacin_h_aspl_baseline",
-    "lacin_max_hosts",
-    "lacin_switch_count",
-    "load_graph",
-    "moore_aspl_lower_bound",
-    "optimal_switch_count",
-    "random_host_switch_graph",
-    "random_regular_host_switch_graph",
-    "regular_h_aspl_lower_bound",
-    "save_graph",
-    "shimizu_mori_aspl_lower_bound",
-    "shimizu_mori_h_aspl_lower_bound",
-    "solve_orp",
-    "star_host_switch_graph",
+    *export_lazily(
+        __name__,
+        {
+            "repro.core": (
+                "AnnealingResult",
+                "AnnealingSchedule",
+                "HostSwitchGraph",
+                "ODPSolution",
+                "ORPSolution",
+                "anneal",
+                "solve_odp",
+                "clique_host_switch_graph",
+                "continuous_moore_bound",
+                "diameter",
+                "diameter_lower_bound",
+                "h_aspl",
+                "h_aspl_and_diameter",
+                "h_aspl_lower_bound",
+                "lacin_h_aspl_baseline",
+                "lacin_max_hosts",
+                "lacin_switch_count",
+                "load_graph",
+                "moore_aspl_lower_bound",
+                "optimal_switch_count",
+                "random_host_switch_graph",
+                "random_regular_host_switch_graph",
+                "regular_h_aspl_lower_bound",
+                "save_graph",
+                "shimizu_mori_aspl_lower_bound",
+                "shimizu_mori_h_aspl_lower_bound",
+                "solve_orp",
+                "star_host_switch_graph",
+            ),
+        },
+    ),
     "__version__",
 ]

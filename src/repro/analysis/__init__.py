@@ -1,38 +1,28 @@
 """Analysis and reporting helpers: host distributions, ASCII tables, series."""
 
-from repro.analysis.distributions import (
-    host_distribution,
-    host_distribution_summary,
-    unused_switch_fraction,
-)
-from repro.analysis.paths import (
-    DistanceProfile,
-    distance_histogram,
-    distance_profile,
-    link_load_summary,
-)
-from repro.analysis.report import format_table, format_series
-from repro.analysis.resilience import (
-    FailureImpact,
-    ResilienceSweepResult,
-    edge_failure_impact,
-    failure_sweep,
-    switch_failure_impact,
-)
+from repro._lazy import export_lazily
 
-__all__ = [
-    "FailureImpact",
-    "ResilienceSweepResult",
-    "edge_failure_impact",
-    "failure_sweep",
-    "switch_failure_impact",
-    "host_distribution",
-    "host_distribution_summary",
-    "unused_switch_fraction",
-    "DistanceProfile",
-    "distance_histogram",
-    "distance_profile",
-    "link_load_summary",
-    "format_table",
-    "format_series",
-]
+__all__ = export_lazily(
+    __name__,
+    {
+        "repro.analysis.resilience": (
+            "FailureImpact",
+            "ResilienceSweepResult",
+            "edge_failure_impact",
+            "failure_sweep",
+            "switch_failure_impact",
+        ),
+        "repro.analysis.distributions": (
+            "host_distribution",
+            "host_distribution_summary",
+            "unused_switch_fraction",
+        ),
+        "repro.analysis.paths": (
+            "DistanceProfile",
+            "distance_histogram",
+            "distance_profile",
+            "link_load_summary",
+        ),
+        "repro.analysis.report": ("format_table", "format_series"),
+    },
+)

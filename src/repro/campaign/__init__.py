@@ -20,53 +20,31 @@ The orchestration layer for reproducing the paper's evaluation at scale:
 CLI: ``repro campaign run|resume|status|report SPEC.json``.
 """
 
-from repro.campaign.checkpoint import (
-    CampaignInterrupted,
-    PointCheckpointer,
-    PointTimeout,
-)
-from repro.campaign.executor import CampaignRunResult, PointOutcome, run_campaign
-from repro.campaign.report import campaign_status, format_report, format_status
-from repro.campaign.spec import (
-    CAMPAIGN_SPEC_FORMAT,
-    CampaignSpec,
-    ExecutorConfig,
-    SpecError,
-    canonical_json,
-    expand_grid,
-    load_spec,
-    normalize_point,
-    point_digest,
-    solve_point,
-)
-from repro.campaign.index import IndexEntry, IndexRebuildStats, best_by_nr
-from repro.campaign.store import BestPoint, CampaignStore, ScanBest, StoreError
+from repro._lazy import export_lazily
 
-__all__ = [
-    "CAMPAIGN_SPEC_FORMAT",
-    "BestPoint",
-    "CampaignInterrupted",
-    "CampaignRunResult",
-    "CampaignSpec",
-    "CampaignStore",
-    "ExecutorConfig",
-    "IndexEntry",
-    "IndexRebuildStats",
-    "PointCheckpointer",
-    "PointOutcome",
-    "PointTimeout",
-    "ScanBest",
-    "SpecError",
-    "StoreError",
-    "best_by_nr",
-    "campaign_status",
-    "canonical_json",
-    "expand_grid",
-    "format_report",
-    "format_status",
-    "load_spec",
-    "normalize_point",
-    "point_digest",
-    "run_campaign",
-    "solve_point",
-]
+__all__ = export_lazily(
+    __name__,
+    {
+        "repro.campaign.checkpoint": (
+            "CampaignInterrupted",
+            "PointCheckpointer",
+            "PointTimeout",
+        ),
+        "repro.campaign.executor": ("CampaignRunResult", "PointOutcome", "run_campaign"),
+        "repro.campaign.report": ("campaign_status", "format_report", "format_status"),
+        "repro.campaign.spec": (
+            "CAMPAIGN_SPEC_FORMAT",
+            "CampaignSpec",
+            "ExecutorConfig",
+            "SpecError",
+            "canonical_json",
+            "expand_grid",
+            "load_spec",
+            "normalize_point",
+            "point_digest",
+            "solve_point",
+        ),
+        "repro.campaign.index": ("IndexEntry", "IndexRebuildStats", "best_by_nr"),
+        "repro.campaign.store": ("BestPoint", "CampaignStore", "ScanBest", "StoreError"),
+    },
+)

@@ -53,6 +53,11 @@ from repro.campaign.store import CampaignStore, StoreError
 from repro.obs import NULL_TELEMETRY, TelemetryRegistry
 from repro.obs import clock as obs_clock
 
+# solve_point imports the solver when it first runs (repro.campaign.spec
+# stays free of NumPy for the serve layer); importing it with the executor
+# keeps that import out of a campaign's first point.
+import repro.core.solver  # noqa: F401
+
 __all__ = ["PointOutcome", "CampaignRunResult", "run_campaign"]
 
 FAILURE_FORMAT = "repro.campaign.failure/v1"
@@ -408,25 +413,19 @@ def run_campaign(
             in_flight=in_flight,
         )
 
-    def emit_progress(done: int, *, counts: bool) -> None:
-        """Per-point progress event.  ``counts=False`` is the pool path:
-        completion order varies run to run, so only the monotonic done
-        count is reported there (the status split waits for the
-        dispatch-order fold)."""
-        fields: dict[str, Any] = {
-            "campaign": spec.name,
-            "points": total_points,
-            "done": done,
-        }
-        if counts:
-            fields.update(
-                solved=result.count("solved"),
-                cached=result.count("cached"),
-                failed=result.count("failed"),
-                interrupted=result.count("interrupted"),
-                retried=sum(max(0, o.attempts - 1) for o in result.outcomes),
-            )
-        tel.event("campaign.progress", **fields)
+    def emit_progress() -> None:
+        """Progress event for the outcomes folded so far (dispatch order)."""
+        tel.event(
+            "campaign.progress",
+            campaign=spec.name,
+            points=total_points,
+            done=len(result.outcomes),
+            solved=result.count("solved"),
+            cached=result.count("cached"),
+            failed=result.count("failed"),
+            interrupted=result.count("interrupted"),
+            retried=sum(max(0, o.attempts - 1) for o in result.outcomes),
+        )
 
     with _InterruptFlag() as flag:
 
@@ -454,7 +453,7 @@ def run_campaign(
                 outcome = _execute_point(store, point, cfg, telemetry, on_checkpoint)
                 result.outcomes.append(outcome)
                 if tel.enabled:
-                    emit_progress(len(result.outcomes), counts=True)
+                    emit_progress()
         else:
             collect = tel.enabled
             with ProcessPoolExecutor(
@@ -472,28 +471,20 @@ def run_campaign(
                     ): index
                     for index, (digest, point) in enumerate(pending)
                 }
-                # Results are keyed by dispatch index and folded only after
-                # the pool drains: future *completion* order varies run to
-                # run, so appending/merging inside the wait loop would make
-                # outcome order and telemetry nondeterministic (REP011).
+                # Results are keyed by dispatch index: future *completion*
+                # order varies run to run, so folding as futures complete
+                # would make outcome order and telemetry nondeterministic
+                # (REP011).  Each point is folded, with its progress event,
+                # once every point dispatched before it is done.
                 gathered: dict[int, tuple[PointOutcome, dict[str, Any] | None]] = {}
+                folded = 0
                 remaining = set(futures)
-                reported = -1
                 while remaining:
                     done, remaining = wait(
                         remaining, timeout=0.2, return_when=FIRST_COMPLETED
                     )
                     for future in done:
                         gathered[futures[future]] = future.result()
-                    if tel.enabled:
-                        # Count-only while the pool runs (completion order
-                        # is nondeterministic); the status split is folded
-                        # in dispatch order after the drain.
-                        done_count = len(result.outcomes) + len(gathered)
-                        if done_count != reported:
-                            reported = done_count
-                            emit_progress(done_count, counts=False)
-                        emit_heartbeat(in_flight=len(remaining))
                     if flag.tripped and remaining:
                         # Drain: cancel what has not started, let in-flight
                         # points finish (their checkpoints keep landing).
@@ -509,11 +500,15 @@ def run_campaign(
                                     None,
                                 )
                                 remaining.discard(future)
-            for index in sorted(gathered):
-                outcome, snapshot = gathered[index]
-                if snapshot is not None:
-                    tel.merge(snapshot)
-                result.outcomes.append(outcome)
+                    while folded in gathered:
+                        outcome, snapshot = gathered.pop(folded)
+                        folded += 1
+                        if snapshot is not None:
+                            tel.merge(snapshot)
+                        result.outcomes.append(outcome)
+                        if tel.enabled:
+                            emit_progress()
+                    emit_heartbeat(in_flight=len(remaining))
 
         result.interrupted = flag.tripped and any(
             o.status == "interrupted" for o in result.outcomes

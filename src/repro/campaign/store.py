@@ -51,10 +51,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.resilience import (
-    RESILIENCE_RESULT_FORMAT,
-    ResilienceSweepResult,
-)
 from repro.campaign.index import (
     INDEX_FILE,
     IndexEntry,
@@ -64,11 +60,6 @@ from repro.campaign.index import (
     encode_entry,
 )
 from repro.campaign.spec import CampaignSpec, canonical_json, load_spec
-from repro.core.serialization import (
-    graph_to_text,
-    orp_solution_from_dict,
-    orp_solution_to_dict,
-)
 from repro.obs.cursor import LineCursor
 
 __all__ = [
@@ -305,17 +296,19 @@ class CampaignStore:
         Solved plain-ORP points additionally publish one leaderboard
         record to ``index.jsonl`` — strictly after their artifacts are
         complete, so an index entry always points at a whole artifact set.
-        """
-        # Imported lazily: repro.compose builds on this store, so a
-        # module-level import would be circular.
-        from repro.compose.fabric import ComposeResult
 
+        A result that serializes itself (``to_dict``: resilience and
+        compose results) is the single document; anything else is an
+        :class:`~repro.core.solver.ORPSolution`.
+        """
         self._ensure_index()
         pdir = self.point_dir(digest)
-        if isinstance(solution, (ResilienceSweepResult, ComposeResult)):
+        if hasattr(solution, "to_dict"):
             _atomic_write_json(pdir / _POINT_FILE, point)
             _atomic_write_json(pdir / _RESULT_FILE, solution.to_dict())
         else:
+            from repro.core.serialization import graph_to_text, orp_solution_to_dict
+
             _atomic_write_text(pdir / _GRAPH_FILE, graph_to_text(solution.graph))
             _atomic_write_json(pdir / _POINT_FILE, point)
             _atomic_write_json(pdir / _RESULT_FILE, orp_solution_to_dict(solution))
@@ -338,13 +331,21 @@ class CampaignStore:
         :class:`~repro.analysis.resilience.ResilienceSweepResult`, or a
         :class:`~repro.compose.fabric.ComposeResult`.
         """
-        from repro.compose.fabric import COMPOSE_RESULT_FORMAT, ComposeResult
+        # Each format's module is imported only to load that format: the
+        # serve layer runs on this store without NumPy, and repro.compose
+        # builds on it (a module-level import would be a cycle).
+        from repro.core.serialization import RESULT_FORMAT, orp_solution_from_dict
 
         document = _read_json(self.point_dir(digest) / _RESULT_FILE)
-        if isinstance(document, dict) and document.get("format") == RESILIENCE_RESULT_FORMAT:
-            return ResilienceSweepResult.from_dict(document)
-        if isinstance(document, dict) and document.get("format") == COMPOSE_RESULT_FORMAT:
-            return ComposeResult.from_dict(document)
+        fmt = document.get("format") if isinstance(document, dict) else None
+        if fmt != RESULT_FORMAT:
+            from repro.analysis.resilience import RESILIENCE_RESULT_FORMAT, ResilienceSweepResult
+            from repro.compose.fabric import COMPOSE_RESULT_FORMAT, ComposeResult
+
+            if fmt == RESILIENCE_RESULT_FORMAT:
+                return ResilienceSweepResult.from_dict(document)
+            if fmt == COMPOSE_RESULT_FORMAT:
+                return ComposeResult.from_dict(document)
         return orp_solution_from_dict(document)
 
     def load_point(self, digest: str) -> dict[str, Any]:

@@ -66,8 +66,6 @@ import argparse
 import logging
 import sys
 
-from repro.analysis.report import format_table
-
 __all__ = ["main", "build_parser"]
 
 _log = logging.getLogger("repro.cli")
@@ -366,6 +364,7 @@ def _default_graph():
 def _cmd_bounds(args, telemetry) -> int:
     import math
 
+    from repro.analysis.report import format_table
     from repro.core.bounds import (
         diameter_lower_bound,
         h_aspl_lower_bound,
@@ -571,6 +570,7 @@ def _cmd_traffic(args, telemetry) -> int:
 
 
 def _cmd_resilience(args, telemetry) -> int:
+    from repro.analysis.report import format_table
     from repro.analysis.resilience import failure_sweep
     from repro.core.construct import random_host_switch_graph
     from repro.core.serialization import load_graph

@@ -19,39 +19,25 @@ Modules
   serializable :class:`ComposeResult`.
 """
 
-from repro.compose.blocks import ResolvedBlock, resolve_block
-from repro.compose.fabric import (
-    COMPOSE_RESULT_FORMAT,
-    ComposeResult,
-    build_fabric,
-)
-from repro.compose.mizuno import (
-    DEFAULT_BLOCK_HOSTS,
-    ComposePlan,
-    compose_blocks,
-    plan_composition,
-)
-from repro.compose.predict import (
-    BlockSummary,
-    predict_h_aspl,
-    predict_host_diameter,
-    predict_weighted_sum,
-    summarize_block,
-)
+from repro._lazy import export_lazily
 
-__all__ = [
-    "COMPOSE_RESULT_FORMAT",
-    "DEFAULT_BLOCK_HOSTS",
-    "BlockSummary",
-    "ComposePlan",
-    "ComposeResult",
-    "ResolvedBlock",
-    "build_fabric",
-    "compose_blocks",
-    "plan_composition",
-    "predict_h_aspl",
-    "predict_host_diameter",
-    "predict_weighted_sum",
-    "resolve_block",
-    "summarize_block",
-]
+__all__ = export_lazily(
+    __name__,
+    {
+        "repro.compose.fabric": ("COMPOSE_RESULT_FORMAT", "ComposeResult", "build_fabric"),
+        "repro.compose.mizuno": (
+            "DEFAULT_BLOCK_HOSTS",
+            "ComposePlan",
+            "compose_blocks",
+            "plan_composition",
+        ),
+        "repro.compose.predict": (
+            "BlockSummary",
+            "predict_h_aspl",
+            "predict_host_diameter",
+            "predict_weighted_sum",
+            "summarize_block",
+        ),
+        "repro.compose.blocks": ("ResolvedBlock", "resolve_block"),
+    },
+)

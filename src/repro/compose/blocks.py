@@ -41,6 +41,10 @@ from repro.core.serialization import load_graph
 from repro.obs import NULL_TELEMETRY, TelemetryRegistry
 from repro.obs import clock as obs_clock
 
+# Imported here, not by solve_point (see repro.campaign.executor), so a
+# block's first solve pays no import.
+import repro.core.solver  # noqa: F401
+
 __all__ = ["ResolvedBlock", "resolve_block"]
 
 

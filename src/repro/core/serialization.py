@@ -35,6 +35,7 @@ from typing import Any
 from repro.core.hostswitch import HostSwitchGraph
 
 __all__ = [
+    "RESULT_FORMAT",
     "graph_to_text",
     "graph_from_text",
     "save_graph",
@@ -115,7 +116,8 @@ def load_graph(path: str | Path) -> HostSwitchGraph:
 # Solver-result round trips (JSON-ready dicts)
 # --------------------------------------------------------------------- #
 
-_RESULT_FORMAT = "repro.result/v1"
+#: Format of every result document this module writes.
+RESULT_FORMAT = "repro.result/v1"
 
 
 def float_to_json(value: float) -> float | str:
@@ -133,9 +135,9 @@ def float_from_json(value: float | str) -> float:
 
 
 def _check_format(data: dict[str, Any], expected_kind: str) -> None:
-    if data.get("format") != _RESULT_FORMAT:
+    if data.get("format") != RESULT_FORMAT:
         raise ValueError(
-            f"not a {_RESULT_FORMAT} document (format={data.get('format')!r})"
+            f"not a {RESULT_FORMAT} document (format={data.get('format')!r})"
         )
     if data.get("kind") != expected_kind:
         raise ValueError(
@@ -146,7 +148,7 @@ def _check_format(data: dict[str, Any], expected_kind: str) -> None:
 def restart_summary_to_dict(summary: Any) -> dict[str, Any]:
     """Serialise a :class:`~repro.core.solver.RestartSummary` to a dict."""
     return {
-        "format": _RESULT_FORMAT,
+        "format": RESULT_FORMAT,
         "kind": "restart_summary",
         "index": summary.index,
         "seed_spawn_key": list(summary.seed_spawn_key),
@@ -183,7 +185,7 @@ def annealing_result_to_dict(result: Any) -> dict[str, Any]:
     their ``(step, current, best)`` structure as 3-element lists.
     """
     return {
-        "format": _RESULT_FORMAT,
+        "format": RESULT_FORMAT,
         "kind": "annealing_result",
         "graph": graph_to_text(result.graph),
         "h_aspl": result.h_aspl,
@@ -225,7 +227,7 @@ def orp_solution_to_dict(solution: Any) -> dict[str, Any]:
     campaign store is indistinguishable from a freshly solved one.
     """
     return {
-        "format": _RESULT_FORMAT,
+        "format": RESULT_FORMAT,
         "kind": "orp_solution",
         "graph": graph_to_text(solution.graph),
         "n": solution.n,

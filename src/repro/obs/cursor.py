@@ -50,12 +50,15 @@ class LineCursor:
         ``full`` means ``data`` is the whole current file and replaces
         everything read before; a missing file reads as empty.
         """
+        had_file = self._file is not None
         try:
-            stat: os.stat_result | None = os.stat(self.path)
+            stat = os.stat(self.path)
         except OSError:
-            stat = None
-        if stat is None or self._file is None or (stat.st_dev, stat.st_ino) != self._stamp[:2]:
-            had_file = self._file is not None
+            # Missing: no open to try, and one full (empty) read if it was
+            # deleted while open.
+            self.close()
+            return had_file, b""
+        if self._file is None or (stat.st_dev, stat.st_ino) != self._stamp[:2]:
             self.close()
             try:
                 self._file = open(self.path, "rb", buffering=0)

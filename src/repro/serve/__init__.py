@@ -15,18 +15,14 @@ Telemetry streams through the standard :mod:`repro.obs` registry under
 the closed ``serve.*`` instrument names.
 """
 
-from repro.serve.client import ServerError
-from repro.serve.protocol import ProtocolError, QueryAnswer
-from repro.serve.server import TopologyServer, run_server
-from repro.serve.service import ServeBusy, ServeConfig, TopologyService
+from repro._lazy import export_lazily
 
-__all__ = [
-    "ProtocolError",
-    "QueryAnswer",
-    "ServeBusy",
-    "ServeConfig",
-    "ServerError",
-    "TopologyServer",
-    "TopologyService",
-    "run_server",
-]
+__all__ = export_lazily(
+    __name__,
+    {
+        "repro.serve.protocol": ("ProtocolError", "QueryAnswer"),
+        "repro.serve.service": ("ServeBusy", "ServeConfig", "TopologyService"),
+        "repro.serve.client": ("ServerError",),
+        "repro.serve.server": ("TopologyServer", "run_server"),
+    },
+)

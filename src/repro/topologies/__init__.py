@@ -7,50 +7,30 @@ The three paper comparators are :func:`torus`, :func:`dragonfly`, and
 built on the same machinery and used in tests/examples.
 """
 
-from repro.topologies.base import TopologySpec
-from repro.topologies.compose import compose_fabric, compose_fabric_spec
-from repro.topologies.torus import torus, torus_spec
-from repro.topologies.dragonfly import dragonfly, dragonfly_spec
-from repro.topologies.fattree import fat_tree, fat_tree_spec
-from repro.topologies.hypercube import hypercube, hypercube_spec
-from repro.topologies.mesh import mesh, mesh_spec
-from repro.topologies.slimfly import slim_fly, slim_fly_spec
-from repro.topologies.jellyfish import jellyfish, jellyfish_spec
-from repro.topologies.random_shortcut import (
-    random_shortcut_ring,
-    random_shortcut_spec,
-)
-from repro.topologies.registry import (
-    CLIParam,
-    available_topologies,
-    build_topology,
-    topology_cli_flags,
-    topology_cli_kwargs,
-)
+from repro._lazy import export_lazily
 
-__all__ = [
-    "CLIParam",
-    "TopologySpec",
-    "topology_cli_flags",
-    "topology_cli_kwargs",
-    "torus",
-    "torus_spec",
-    "dragonfly",
-    "dragonfly_spec",
-    "fat_tree",
-    "fat_tree_spec",
-    "hypercube",
-    "hypercube_spec",
-    "mesh",
-    "mesh_spec",
-    "slim_fly",
-    "slim_fly_spec",
-    "jellyfish",
-    "jellyfish_spec",
-    "random_shortcut_ring",
-    "random_shortcut_spec",
-    "compose_fabric",
-    "compose_fabric_spec",
-    "build_topology",
-    "available_topologies",
-]
+__all__ = export_lazily(
+    __name__,
+    {
+        "repro.topologies.registry": (
+            "CLIParam",
+            "available_topologies",
+            "build_topology",
+            "topology_cli_flags",
+            "topology_cli_kwargs",
+        ),
+        "repro.topologies.base": ("TopologySpec",),
+        "repro.topologies.torus": ("torus", "torus_spec"),
+        "repro.topologies.dragonfly": ("dragonfly", "dragonfly_spec"),
+        "repro.topologies.fattree": ("fat_tree", "fat_tree_spec"),
+        "repro.topologies.hypercube": ("hypercube", "hypercube_spec"),
+        "repro.topologies.mesh": ("mesh", "mesh_spec"),
+        "repro.topologies.slimfly": ("slim_fly", "slim_fly_spec"),
+        "repro.topologies.jellyfish": ("jellyfish", "jellyfish_spec"),
+        "repro.topologies.random_shortcut": (
+            "random_shortcut_ring",
+            "random_shortcut_spec",
+        ),
+        "repro.topologies.compose": ("compose_fabric", "compose_fabric_spec"),
+    },
+)

@@ -14,18 +14,11 @@ touching ``cli.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.hostswitch import HostSwitchGraph
-from repro.topologies.base import TopologySpec
-from repro.topologies.compose import compose_fabric
-from repro.topologies.dragonfly import dragonfly
-from repro.topologies.fattree import fat_tree
-from repro.topologies.hypercube import hypercube
-from repro.topologies.jellyfish import jellyfish
-from repro.topologies.mesh import mesh
-from repro.topologies.random_shortcut import random_shortcut_ring
-from repro.topologies.slimfly import slim_fly
-from repro.topologies.torus import torus
+if TYPE_CHECKING:
+    from repro.core.hostswitch import HostSwitchGraph
+    from repro.topologies.base import TopologySpec
 
 __all__ = [
     "CLIParam",
@@ -35,18 +28,20 @@ __all__ = [
     "topology_cli_kwargs",
 ]
 
+#: Builder per accepted name, as exported by :mod:`repro.topologies`; only
+#: :func:`build_topology` imports one, so the CLI's flags cost no builder.
 _BUILDERS = {
-    "torus": torus,
-    "dragonfly": dragonfly,
-    "fat-tree": fat_tree,
-    "fattree": fat_tree,
-    "hypercube": hypercube,
-    "mesh": mesh,
-    "slim-fly": slim_fly,
-    "slimfly": slim_fly,
-    "jellyfish": jellyfish,
-    "random-shortcut-ring": random_shortcut_ring,
-    "compose": compose_fabric,
+    "torus": "torus",
+    "dragonfly": "dragonfly",
+    "fat-tree": "fat_tree",
+    "fattree": "fat_tree",
+    "hypercube": "hypercube",
+    "mesh": "mesh",
+    "slim-fly": "slim_fly",
+    "slimfly": "slim_fly",
+    "jellyfish": "jellyfish",
+    "random-shortcut-ring": "random_shortcut_ring",
+    "compose": "compose_fabric",
 }
 
 
@@ -195,4 +190,6 @@ def build_topology(name: str, **kwargs) -> tuple[HostSwitchGraph, TopologySpec]:
         raise ValueError(
             f"unknown topology {name!r}; available: {available_topologies()}"
         ) from None
-    return builder(**kwargs)
+    import repro.topologies
+
+    return getattr(repro.topologies, builder)(**kwargs)

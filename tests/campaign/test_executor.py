@@ -154,6 +154,36 @@ class TestParallelParity:
         assert "campaign.point" in names
         assert "campaign.done" in names
 
+    def test_pool_folds_each_point_before_progress_counts_it(self, tmp_path):
+        # `repro monitor` follows a pool campaign point by point: each
+        # point's worker records are merged, in dispatch order, before the
+        # first campaign.progress record that counts the point.
+        spec = make_spec(steps=200)
+        registry = TelemetryRegistry()
+        sink = MemorySink()
+        registry.add_sink(sink)
+        result = run_campaign(spec, tmp_path / "pool", telemetry=registry, jobs=2)
+        records = sink.events
+        progress = [i for i, e in enumerate(records) if e["name"] == "campaign.progress"]
+        solves = [i for i, e in enumerate(records) if e["name"] == "solver.done"]
+        assert len(solves) == len(result.outcomes) == 2
+        for count, outcome in enumerate(result.outcomes, start=1):
+            restarts = [
+                i for i, e in enumerate(records)
+                if e["name"] == "solver.restart" and e["fields"]["seed"] == outcome.point["seed"]
+            ]
+            first_counting = min(i for i in progress if records[i]["fields"]["done"] >= count)
+            assert restarts and max(restarts) < solves[count - 1] < first_counting
+        # Folded per point in dispatch order, the pool's progress records
+        # are the serial run's.
+        serial = MemorySink()
+        serial_registry = TelemetryRegistry()
+        serial_registry.add_sink(serial)
+        run_campaign(spec, tmp_path / "serial", telemetry=serial_registry, jobs=1)
+        assert [records[i]["fields"] for i in progress] == [
+            e["fields"] for e in serial.events if e["name"] == "campaign.progress"
+        ]
+
 
 class TestRetriesAndFailures:
     def test_transient_crash_is_retried(self, tmp_path, monkeypatch):

@@ -279,6 +279,27 @@ class TestIndexCursor:
         assert cursor.read() == (False, [])
         cursor.close()
 
+    def test_missing_index_is_never_opened(self, store, solution, monkeypatch):
+        # A serve shard polls an index that may never exist (the refine
+        # shard under --no-refine): each read is one failed stat.
+        import repro.obs.cursor as cursor_mod
+
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cursor_mod, "open", counting_open, raising=False)
+        cursor = IndexCursor(store.index_path)
+        for _ in range(3):
+            assert cursor.read() == (False, [])
+        assert opened == []
+        _save(store, solution)
+        assert cursor.read() == (True, store.index_entries())
+        assert opened == [store.index_path]
+        cursor.close()
+
 
 class TestReaderHardening:
     def test_non_utf8_index_line_is_skipped(self, store, solution):
