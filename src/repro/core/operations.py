@@ -147,7 +147,9 @@ def propose_swap(
     """
     if len(edges) < 2:
         return None
-    i, j = rng.integers(0, len(edges), size=2)
+    # Two scalar draws: the same PCG64 stream as one size-2 draw, cheaper.
+    i = rng.integers(0, len(edges))
+    j = rng.integers(0, len(edges))
     if i == j:
         return None
     a, b = edges[int(i)]

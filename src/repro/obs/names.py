@@ -32,6 +32,7 @@ INSTRUMENTS: frozenset[str] = frozenset(
         "anneal.run",
         "anneal.wall_s",
         # repro.core.incremental
+        "evaluator.extensions",
         "evaluator.fallbacks",
         "evaluator.proposals",
         "evaluator.repaired_rows",

@@ -100,10 +100,12 @@ def _evaluator_section(metrics: dict) -> list[str]:
     if not proposals:
         return []
     repaired = _counter(metrics, "evaluator.repaired_rows") or 0
+    extensions = _counter(metrics, "evaluator.extensions") or 0
     rows: list[list[Any]] = [
         ["proposals scored", proposals],
+        ["extensions scored", extensions],
         ["rows repaired", repaired],
-        ["rows repaired / move", f"{repaired / proposals:.2f}"],
+        ["rows repaired / move", f"{repaired / (proposals + extensions):.2f}"],
         ["fallback rebuilds", _counter(metrics, "evaluator.fallbacks") or 0],
     ]
     return [format_table(["evaluator repair", "value"], rows), ""]

@@ -126,14 +126,15 @@ def graph_invariant(fn: F) -> F:
     After the wrapped method returns, runs the full :meth:`validate` when
     the contract level is ``"full"`` and does nothing at the other levels
     (the mutator's own guard has checked the edit).  Failures raise
-    :class:`ContractViolation` chained to the underlying error.  The level
-    is looked up on every call (:func:`contracts_level`).
+    :class:`ContractViolation` chained to the underlying error.  Each call
+    reads the cached level, so :func:`set_contracts` takes effect at the
+    next edit; :func:`contracts_level` runs only while nothing is cached.
     """
 
     @functools.wraps(fn)
     def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
         result = fn(self, *args, **kwargs)
-        if contracts_level() == "full":
+        if (_level or contracts_level()) == "full":
             try:
                 self.validate()
             except ValueError as exc:

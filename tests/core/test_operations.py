@@ -173,3 +173,21 @@ class TestProposals:
         g = HostSwitchGraph(2, 4)
         rng = np.random.default_rng(0)
         assert propose_swing([], rng, g) is None
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_two_scalar_draws_equal_one_pair_draw(self, seed):
+        """Two ``integers(0, n)`` calls replay one ``integers(0, n, size=2)`` call.
+
+        The proposal draws rely on it: the pair is drawn as two scalars
+        (cheaper) without moving the PCG64 stream, interleaved with the
+        orientation coin flips and the Metropolis ``random()`` draws.
+        """
+        pairs, scalars = np.random.default_rng(seed), np.random.default_rng(seed)
+        sizes = np.random.default_rng(seed + 1).integers(2, 100_000, size=20_000)
+        for t, n in enumerate(sizes.tolist()):
+            i, j = pairs.integers(0, n, size=2)
+            assert (scalars.integers(0, n), scalars.integers(0, n)) == (i, j)
+            assert scalars.integers(0, 2) == pairs.integers(0, 2)
+            if t % 3 == 0:
+                assert scalars.random() == pairs.random()
+        assert scalars.bit_generator.state == pairs.bit_generator.state

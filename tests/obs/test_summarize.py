@@ -72,6 +72,18 @@ class TestSummarizeSections:
         assert "rows repaired / move" in out and "2.50" in out
         assert "fallback rebuilds" in out
 
+    def test_evaluator_section_counts_extensions(self):
+        # A Fig. 4 retry extends the pending proposal: its repaired rows
+        # count per scored move set, proposals and extensions alike.
+        def populate(reg):
+            reg.counter("evaluator.proposals").inc(100)
+            reg.counter("evaluator.extensions").inc(25)
+            reg.counter("evaluator.repaired_rows").inc(250)
+
+        out = summarize_events(_trace(populate))
+        assert "extensions scored" in out and "25" in out
+        assert "rows repaired / move" in out and "2.00" in out
+
     def test_restart_table_groups_rows_by_point(self):
         # A three-point campaign trace, two of the points a seed sweep of
         # one (n, r): each solve reports its restarts in index order, one

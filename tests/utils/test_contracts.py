@@ -65,12 +65,15 @@ def test_env_is_read_once_until_reset(monkeypatch):
     assert contracts_level() == "off"
 
 
-def test_counting_wrapper_sees_each_mutator_check(monkeypatch):
-    # The end-to-end tracer counts checks by wrapping the module attribute,
-    # so every mutator must look contracts_level up at check time.
+def test_counting_wrapper_sees_only_uncached_level_reads(monkeypatch):
+    # The end-to-end tracer counts checks by wrapping the module attribute.
+    # A mutator reads the cached level and calls contracts_level only while
+    # nothing is cached: the first edit after set_contracts(None) parses the
+    # environment, the later ones read the cache.
     import repro.utils.contracts as contracts
 
-    set_contracts("on")
+    monkeypatch.setenv("REPRO_CONTRACTS", "1")
+    set_contracts(None)
     calls = []
     real = contracts.contracts_level
 
@@ -86,10 +89,28 @@ def test_counting_wrapper_sees_each_mutator_check(monkeypatch):
     g.move_host(h, 2)
     g.move_any_host(2, 0)
     g.remove_switch_edge(0, 1)
-    assert len(calls) == 6
+    assert len(calls) == 1
     calls.clear()
+    set_contracts("on")
+    g.add_switch_edge(0, 1)
+    assert calls == []
     HostSwitchGraph.from_edges(3, 4, [(0, 1), (1, 2)], [0, 2])
     assert calls == []  # the bulk constructor makes no mutator call
+
+
+def test_level_set_between_two_edits_applies_to_the_second():
+    # The wrapper reads the cached level on every call, so switching to
+    # "full" between two edits validates after the second one.
+    set_contracts("on")
+    g = HostSwitchGraph(num_switches=3, radix=4)
+    g.add_switch_edge(0, 1)
+    g._hosts_per_switch[2] = -1  # corrupted behind the guards' back
+    g.add_switch_edge(1, 2)  # "on": the edit's own guard only
+    set_contracts("full")
+    with pytest.raises(ContractViolation, match="desynchronised"):
+        g.remove_switch_edge(1, 2)
+    set_contracts("off")
+    g.add_switch_edge(0, 2)  # "off" again: no check
 
 
 def test_set_contracts_accepts_bool():
