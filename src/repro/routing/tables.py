@@ -79,8 +79,9 @@ class RoutingTables:
         self._dead_switches: set[int] = set()
         if degraded:
             self._ddm = DynamicDistanceMatrix(graph)
-            # Live float64 view; DynamicDistanceMatrix mutates it in place
+            # Live float32 view; DynamicDistanceMatrix mutates it in place
             # and never rebinds, so this alias stays valid across faults.
+            # Entries are small integers or inf, read via int()/isinf.
             self._dist: np.ndarray = self._ddm.dist
         else:
             dist = switch_distance_matrix(graph)
