@@ -13,10 +13,14 @@ The annealer maintains a switch-edge list for O(1) proposal sampling and
 scores every candidate by its exact h-ASPL with the delta-repairing
 :class:`repro.core.incremental.IncrementalEvaluator` (propose / commit /
 rollback around each move, and Fig. 4's retry as an ``extend`` of the
-pending first swing), its only scorer.  Moves that disconnect any pair
-of hosts evaluate to ``inf`` and are always rejected.  A finite h-ASPL
-says nothing about hostless switches, so every accepted move also passes
-a whole-switch-graph connectivity check, preserving the paper's "no
+pending first swing), its only scorer.  The evaluator scores a move
+from the move alone, so a proposal is applied to the working graph and
+the edge list only once it is committed (:func:`_commit`, the loop's
+one edit); a rejected proposal touches only the evaluator, which rolls
+it back through its journal.  Moves that disconnect any pair of hosts
+evaluate to ``inf`` and are always rejected.  A finite h-ASPL says
+nothing about hostless switches, so every accepted move also passes a
+whole-switch-graph connectivity check, preserving the paper's "no
 redundant switch is stranded" assumption.  Between ``propose`` and
 ``commit`` the evaluator's matrix is the candidate's exact all-switch
 APSP, so the check costs at most one row read
@@ -388,10 +392,8 @@ def anneal(
             move = propose(edges.edges, rng, work)
             if move is not None:
                 committed, value_after = _try_move(
-                    work, rng, current, temperature, evaluator, move
+                    work, edges, rng, current, temperature, evaluator, move
                 )
-                if committed:
-                    edges.apply(move)
 
         if committed:
             accepted += 1
@@ -501,7 +503,6 @@ def _validate_resume_state(
 
 
 def _scored(
-    work: HostSwitchGraph,
     move: SwapMove | SwingMove,
     score: Callable[[SwapMove | SwingMove], float],
     rng: np.random.Generator,
@@ -509,42 +510,51 @@ def _scored(
     temperature: float,
     evaluator: IncrementalEvaluator,
 ) -> tuple[bool, float]:
-    """Apply ``move``, score it with ``score`` and take the accept decision.
+    """Score ``move`` with ``score`` and take the accept decision.
 
     ``score`` is the evaluator's ``propose`` or ``extend``; the proposal
-    stays pending for the caller to commit or roll back.  If scoring or
-    the decision raises, ``move`` is undone before the exception
-    propagates, so the shared working graph never leaks a half-applied
-    proposal (REP012).  Returns ``(take, value)``.
+    stays pending for the caller to commit or roll back.  Returns
+    ``(take, value)``.
     """
-    move.apply(work)
-    try:
-        value = score(move)
-        take = _accept(value - current, temperature, rng) and evaluator.is_connected()
-    except BaseException:
-        move.undo(work)
-        raise
-    return take, value
+    value = score(move)
+    return _accept(value - current, temperature, rng) and evaluator.is_connected(), value
+
+
+def _commit(
+    work: HostSwitchGraph,
+    edges: _EdgeList,
+    evaluator: IncrementalEvaluator,
+    *moves: SwapMove | SwingMove,
+) -> None:
+    """Keep the pending proposal and apply its ``moves`` to ``work`` and ``edges``.
+
+    The one place the loop edits its graph, in the order the moves were
+    scored: a rejected proposal never reaches it.
+    """
+    evaluator.commit()
+    for move in moves:
+        move.apply(work)
+        edges.apply(move)
 
 
 def _try_move(
     work: HostSwitchGraph,
+    edges: _EdgeList,
     rng: np.random.Generator,
     current: float,
     temperature: float,
     evaluator: IncrementalEvaluator,
     move: SwapMove | SwingMove,
 ) -> tuple[bool, float]:
-    """Apply and score ``move``, then commit it or roll it back.
+    """Score ``move``, then commit it or roll it back.
 
     Returns ``(committed, value)`` with ``value == current`` on rejection.
     """
-    take, value = _scored(work, move, evaluator.propose, rng, current, temperature, evaluator)
+    take, value = _scored(move, evaluator.propose, rng, current, temperature, evaluator)
     if take:
-        evaluator.commit()
+        _commit(work, edges, evaluator, move)
         return True, value
     evaluator.rollback()
-    move.undo(work)
     return False, current
 
 
@@ -599,37 +609,24 @@ def _two_neighbor_step(
             swap = SwapMove(sa, sb, sd, sc)
             if swap.is_legal(work):
                 committed, value = _try_move(
-                    work, rng, current, temperature, evaluator, swap
+                    work, edges, rng, current, temperature, evaluator, swap
                 )
-                if committed:
-                    edges.apply(swap)
-                    return True, value, "swap"
+                return committed, value, "swap"
         return False, current, "swap"
 
-    take, value = _scored(work, first, evaluator.propose, rng, current, temperature, evaluator)
+    take, value = _scored(first, evaluator.propose, rng, current, temperature, evaluator)
     if take:
-        evaluator.commit()
-        edges.apply(first)
+        _commit(work, edges, evaluator, first)
         return True, value, "swing"
-
-    second = SwingMove(sd, sc, sb)
-    if not second.is_legal(work):
+    # Step 1 is not on the graph: the second swing is legal after it
+    # exactly when the net swap is legal on the committed graph.
+    if not SwapMove(sa, sb, sd, sc).is_legal(work):
         evaluator.rollback()
-        first.undo(work)
         return False, current, "swing"
-    try:
-        take, value = _scored(work, second, evaluator.extend, rng, current, temperature,
-                              evaluator)
-    except BaseException:
-        # _scored unwound `second` (and extend the whole proposal); `first` is ours.
-        first.undo(work)
-        raise
+    second = SwingMove(sd, sc, sb)
+    take, value = _scored(second, evaluator.extend, rng, current, temperature, evaluator)
     if take:
-        evaluator.commit()
-        edges.apply(first)
-        edges.apply(second)
+        _commit(work, edges, evaluator, first, second)
         return True, value, "swing2"
     evaluator.rollback()
-    second.undo(work)
-    first.undo(work)
     return False, current, "swing2"

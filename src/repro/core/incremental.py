@@ -76,13 +76,15 @@ step's ``(rows, cols, old block, new block)`` and every table write's
 ``(switch, slot, old id)``, together with the committed host counts and
 value; the old block is the one gathered to compute the new.  Each
 block is written, and restored, in both orientations (``rows x cols``
-and its transpose).  ``extend`` repairs a further move into the pending
-candidate and journals into the same journal (Fig. 4's second swing,
-scored on top of the first).  ``rollback`` restores the journaled blocks
-and slots newest-first — which covers every modified entry, because
-each repair step only writes its own block — and reinstates the
-committed state, also after an exception or a fallback rebuild inside
-``propose`` or ``extend``.  ``commit`` simply drops the journal.
+and its transpose).  A fallback rebuild (below) is journaled the same
+way, as one block holding the whole matrix, so the evaluator keeps one
+``D`` array for its whole life.  ``extend`` repairs a further move into
+the pending candidate and journals into the same journal (Fig. 4's
+second swing, scored on top of the first).  ``rollback`` restores the
+journaled blocks and slots newest-first — which covers every modified
+entry, because each step only writes its own block — and reinstates the
+committed counts and value, also after an exception inside ``propose``
+or ``extend``.  ``commit`` simply drops the journal.
 
 The matrix is float32: distances are small integers (and ``inf``),
 which float32 holds exactly, and every gather, store and side test moves
@@ -110,19 +112,22 @@ run as many rounds as the graph is long (a ring, say), so the engine
 recomputes all rows in one batched kernel BFS instead (the *exact
 fallback*).  The evaluator and the single-edge mutators share that
 budget.  Either way the evaluator maintains these invariants after every
-``propose``/``extend``/``commit``/``rollback``:
+``propose``/``extend``/``commit``/``rollback``, for its current graph
+(the construction graph with every committed move applied, and while a
+proposal is pending its moves too):
 
 - ``D`` is the exact, symmetric switch-graph distance matrix (``inf`` for
-  disconnected pairs) of the bound graph;
-- ``k`` equals the graph's per-switch host counts;
-- ``value`` equals :func:`repro.core.metrics.h_aspl` on the bound graph
+  disconnected pairs) of that graph;
+- ``k`` equals that graph's per-switch host counts;
+- ``value`` equals :func:`repro.core.metrics.h_aspl` on that graph
   **bit-for-bit** (every term of the weighted sum is an integer exactly
   representable in float64, so summation order cannot matter).
 
 ``D`` covers *all* switches, not only host-bearing ones, so swing moves
 that empty or populate a switch never invalidate the matrix.  The test
-suite's ``CheckedEvaluator`` subclass verifies every proposal and
-extension against the reference kernel and a brute-force h-ASPL.
+suite's ``CheckedEvaluator`` subclass applies every proposed move to its
+own copy of the graph and verifies every proposal and extension against
+the reference kernel and a brute-force h-ASPL of that copy.
 """
 
 from __future__ import annotations
@@ -495,15 +500,17 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
 
     The protocol mirrors the annealer's accept/reject structure:
 
-    1. the caller applies a move to the bound graph,
+    1. the graph is read once, at construction; from then on the
+       evaluator follows the moves it is given, and the caller applies
+       committed moves to its own graph,
     2. ``propose(move)`` repairs the matrix and returns the candidate
        h-ASPL; until step 4 the evaluator's state is the candidate's,
-    3. optionally, after applying more moves on top, ``extend(move)``
-       repairs each into the same pending candidate and returns its new
-       h-ASPL (Fig. 4's second swing, scored on top of the first),
-    4. ``commit()`` keeps the candidate state, or ``rollback()`` restores
-       the committed one from either depth (after which the caller undoes
-       every move of the proposal on the graph).
+    3. optionally, ``extend(move)`` repairs further moves into the same
+       pending candidate and returns its new h-ASPL (Fig. 4's second
+       swing, scored on top of the first),
+    4. ``commit()`` keeps the candidate state (the caller then applies
+       the proposal's moves to its graph), or ``rollback()`` restores the
+       committed one from either depth.
 
     The inherited single-edge mutators are not part of this protocol: an
     edit outside ``propose``/``extend`` raises
@@ -512,8 +519,8 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
     Parameters
     ----------
     graph:
-        The bound (mutable) host-switch graph; the evaluator snapshots its
-        structure and thereafter trusts the move deltas.
+        The start graph; the evaluator snapshots its structure and host
+        counts and never reads it again.
     telemetry:
         Optional :class:`repro.obs.TelemetryRegistry`; when enabled, the
         evaluator feeds a repaired-rows-per-move histogram (and the engine
@@ -540,10 +547,10 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
             )
         self._k = graph.host_counts().astype(np.float64)
         self._value, self._weighted = self._evaluate(self._dist, self._k)
-        #: While a proposal is pending: the committed ``(dist, k, value,
-        #: weighted)``, the journal of repair steps ``(rows, cols, old
-        #: block, new block)`` written into the committed array and the
-        #: journal of table writes ``(switch, slot, old id)``.
+        #: While a proposal is pending: the committed ``(k, value,
+        #: weighted)``, the journal of matrix writes ``(rows, cols, old
+        #: block, new block)`` and the journal of table writes ``(switch,
+        #: slot, old id)``.
         self._pending: tuple[tuple, list[_Step], list[tuple[int, int, int]]] | None = None
         self.stats = {
             "proposals": 0,
@@ -560,11 +567,7 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
     def _write(
         self, rows: np.ndarray, cols: np.ndarray, old: np.ndarray, new: np.ndarray
     ) -> None:
-        committed, journal, _ = self._pending
-        # After a fallback rebuild the matrix is a scratch array that
-        # rollback drops whole; only writes into the committed one are undone.
-        if self._dist is committed[0]:
-            journal.append((rows, cols, old, new))
+        self._pending[1].append((rows, cols, old, new))
         _store(self._dist, rows, cols, new)
 
     def _relink(self, s: int, slot: int, old: int, new: int) -> None:
@@ -572,8 +575,9 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         self._table[s, slot] = new
 
     def _rebuild(self) -> None:
-        # The committed array must survive for rollback: rebind, never overwrite.
-        self._dist = self._apsp()
+        # The whole matrix as one journaled block: rollback restores it in place.
+        everything = np.arange(self._m)
+        self._write(everything, everything, self._dist.copy(), self._apsp())
 
     # ------------------------------------------------------------------ #
     # Value computation
@@ -628,7 +632,7 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
     # ------------------------------------------------------------------ #
 
     def propose(self, move: Move) -> float:
-        """Candidate h-ASPL after ``move`` (already applied to the graph).
+        """Candidate h-ASPL after ``move`` on the committed state.
 
         The matrix is repaired in place and every repair step journaled;
         call :meth:`commit` to keep the candidate or :meth:`rollback` to
@@ -641,8 +645,7 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
                 "commit() or rollback() first"
             )
         self.stats["proposals"] += 1
-        committed = (self._dist, self._k, self._value, self._weighted)
-        self._pending = (committed, [], [])
+        self._pending = ((self._k, self._value, self._weighted), [], [])
         return self._score(move)
 
     def extend(self, move: Move) -> float:
@@ -651,10 +654,8 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         The repair continues from the pending candidate's matrix, counts
         and weighted sum and journals into the same journal, so
         :meth:`rollback` still restores the committed state and
-        :meth:`commit` keeps both.  If the pending proposal fell back to a
-        full rebuild, the extension repairs the rebuilt array without
-        journaling it and takes the full sum.  Any exception rolls back
-        the whole proposal.
+        :meth:`commit` keeps both.  Any exception rolls back the whole
+        proposal.
         """
         if self._pending is None:
             raise IncrementalEvaluatorError(
@@ -670,7 +671,6 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
             removed, added = move.edge_changes()
             host_deltas = move.host_count_changes()
             start = len(journal)
-            in_place = self._dist is committed[0]
             repaired = self._edit(removed, added)
             if repaired is None:
                 self.stats["fallbacks"] += 1
@@ -680,12 +680,12 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
                     self._rows_hist.observe(repaired)
 
             weighted: float | None = None
-            if repaired is not None and in_place and math.isfinite(self._weighted):
+            if repaired is not None and math.isfinite(self._weighted):
                 weighted = self._repaired_sum(journal, start)
                 if weighted is not None and host_deltas:
                     weighted = self._host_delta_weighted(host_deltas, weighted)
             if host_deltas:
-                if self._k is committed[1]:
+                if self._k is committed[0]:
                     self._k = self._k.copy()
                 for switch, delta in host_deltas:
                     self._k[switch] += delta
@@ -738,7 +738,7 @@ class IncrementalEvaluator(DynamicDistanceMatrix):
         if self._pending is None:
             raise IncrementalEvaluatorError("rollback() without a pending proposal")
         committed, journal, relinked = self._pending
-        self._dist, self._k, self._value, self._weighted = committed
+        self._k, self._value, self._weighted = committed
         dist = self._dist
         for rows, cols, old, _new in reversed(journal):
             _store(dist, rows, cols, old)

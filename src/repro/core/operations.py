@@ -16,8 +16,8 @@ implemented by the annealer (:mod:`repro.core.annealing`); its second step
 equivalent to a swap, so the composite subsumes both primitives.
 
 Every move object supports ``is_legal`` / ``apply`` / ``undo``; ``apply``
-followed by ``undo`` restores the graph exactly, which the annealer relies
-on for rejected proposals.
+followed by ``undo`` restores the graph exactly.  The annealer applies a
+move only once it is committed, so it never undoes one.
 """
 
 from __future__ import annotations

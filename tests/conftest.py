@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -88,32 +89,41 @@ def brute_force_h_aspl(graph: HostSwitchGraph) -> float:
 class CheckedEvaluator(IncrementalEvaluator):
     """Oracle mode: an :class:`IncrementalEvaluator` checked at every step.
 
+    The oracle keeps its own copy of the start graph, independent of the
+    caller's: it applies a copy of every proposed or extended move to it
+    and undoes them on every rollback, including the one ``propose`` or
+    ``extend`` runs on an exception.  (A :class:`SwingMove` records the
+    host it moved, so the oracle never shares the caller's move object.)
     Every proposal's and every extension's repaired matrix must equal
-    :data:`REFERENCE_KERNEL`'s APSP of the bound graph, its host counts
-    the graph's, its value :func:`brute_force_h_aspl` bit for bit, and its
-    row-read :meth:`is_connected` the graph's own walk.  Every commit must
-    leave a connected switch graph (checked by that walk) — the annealer's
-    invariant; tests that commit disconnecting moves on purpose pass
-    ``connected_commits=False``.
+    :data:`REFERENCE_KERNEL`'s APSP of that copy, its host counts the
+    copy's, its value :func:`brute_force_h_aspl` bit for bit, and its
+    row-read :meth:`is_connected` the copy's own walk.  Every commit must
+    leave a connected switch graph (checked by that walk) — the
+    annealer's invariant; tests that commit disconnecting moves on
+    purpose pass ``connected_commits=False``.
     Annealing tests monkeypatch it into ``repro.core.annealing``.
     """
 
     def __init__(self, graph: HostSwitchGraph, *, connected_commits: bool = True,
                  **kwargs) -> None:
         super().__init__(graph, **kwargs)
-        self.graph = graph
+        self.graph = graph.copy()
+        self.applied: list = []  # the pending proposal's moves, as applied to self.graph
         self.connected_commits = connected_commits
         self.checks = 0
         self.extension_checks = 0
 
-    def propose(self, moves) -> float:
-        return self._checked(super().propose(moves))
+    def propose(self, move) -> float:
+        return self._checked(super().propose(move), move)
 
-    def extend(self, moves) -> float:
+    def extend(self, move) -> float:
         self.extension_checks += 1
-        return self._checked(super().extend(moves))
+        return self._checked(super().extend(move), move)
 
-    def _checked(self, value: float) -> float:
+    def _checked(self, value: float, move) -> float:
+        own = copy.copy(move)
+        own.apply(self.graph)
+        self.applied.append(own)
         graph = self.graph
         csr = CSRAdjacency.from_graph(graph)
         expected = REFERENCE_KERNEL.bfs_distances(csr, np.arange(graph.num_switches))
@@ -131,6 +141,13 @@ class CheckedEvaluator(IncrementalEvaluator):
         if self.connected_commits:
             assert self.graph.is_switch_graph_connected(), "committed a split switch graph"
         super().commit()
+        self.applied.clear()
+
+    def rollback(self) -> None:
+        super().rollback()
+        for move in reversed(self.applied):
+            move.undo(self.graph)
+        self.applied.clear()
 
 
 def checked_anneal(graph: HostSwitchGraph, *, evaluators: list | None = None, **kwargs):

@@ -8,8 +8,9 @@ import pytest
 
 import numpy as np
 
+import repro.core.annealing as annealing
 from repro.core.annealing import AnnealingResult, AnnealingSchedule, anneal
-from repro.core.annealing import _EdgeList, _two_neighbor_step
+from repro.core.annealing import _EdgeList, _try_move, _two_neighbor_step
 from repro.core.bounds import h_aspl_lower_bound
 from repro.core.construct import (
     random_host_switch_graph,
@@ -18,7 +19,7 @@ from repro.core.construct import (
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.metrics import h_aspl, switch_distance_matrix
-from repro.core.operations import SwapMove, SwingMove
+from repro.core.operations import SwapMove, SwingMove, propose_swap, propose_swing
 from tests.conftest import checked_anneal
 
 
@@ -330,12 +331,44 @@ class TestConnectivityCheckSource:
         assert calls == [0]
 
 
+class TestRejectedProposalsLeaveTheGraph:
+    """Moves reach the working graph only on commit, so none is ever undone."""
+
+    @pytest.mark.parametrize("operation", ["swap", "swing", "two-neighbor-swing"])
+    def test_cold_anneal_undoes_no_move(self, operation, monkeypatch):
+        def refuse(move, graph):
+            raise AssertionError(f"{move} was undone on the working graph")
+
+        monkeypatch.setattr(SwapMove, "undo", refuse)
+        monkeypatch.setattr(SwingMove, "undo", refuse)
+        made: list[IncrementalEvaluator] = []
+
+        def factory(work, **options):
+            made.append(IncrementalEvaluator(work, **options))
+            return made[-1]
+
+        monkeypatch.setattr(annealing, "IncrementalEvaluator", factory)
+        schedule = AnnealingSchedule(num_steps=300, initial_temperature=1e-3,
+                                     final_temperature=1e-6)
+        result = anneal(random_host_switch_graph(64, 16, 8, seed=5), operation=operation,
+                        schedule=schedule, seed=2)
+        # A cold schedule rejects most scored proposals; each was rolled back.
+        assert made[0].stats["proposals"] > result.accepted > 0
+        result.graph.validate()
+
+
 class TestRetryExceptionSafety:
+    """An exception while scoring leaves the committed state.
+
+    The evaluator rolls the whole proposal back through its journal; no
+    move of it has reached the working graph or the edge list.
+    """
+
     def test_failed_extension_undoes_both_swings(self):
         """An exception inside Fig. 4's extension leaves the committed state.
 
-        The evaluator rolls the whole proposal back; the step undoes the
-        second swing and the first on the working graph before re-raising.
+        The evaluator rolls back both swings; neither was applied to the
+        working graph or the edge list, which the step leaves as they were.
         """
 
         class FailingExtension(IncrementalEvaluator):
@@ -364,3 +397,31 @@ class TestRetryExceptionSafety:
                 current = value
         else:
             pytest.fail("no step reached the extension")
+
+    @pytest.mark.parametrize("operation", ["swap", "swing", "two-neighbor-swing"])
+    def test_failed_proposal_leaves_the_committed_state(self, operation):
+        class FailingProposal(IncrementalEvaluator):
+            def _edit(self, removed, added):
+                # Fails after the repair, so rollback has blocks to restore.
+                super()._edit(removed, added)
+                raise RuntimeError("scoring failed")
+
+        work = random_host_switch_graph(64, 16, 8, seed=5)
+        edges = _EdgeList(work)
+        evaluator = FailingProposal(work)
+        rng = np.random.default_rng(0)
+        before, order = work.copy(), list(edges.edges)
+        dist, table, value = evaluator.dist.copy(), evaluator._table.copy(), evaluator.value
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            for _ in range(100):
+                if operation == "two-neighbor-swing":
+                    _two_neighbor_step(work, edges, rng, value, 1e-9, evaluator)
+                    continue
+                propose = propose_swap if operation == "swap" else propose_swing
+                move = propose(edges.edges, rng, work)
+                if move is not None:
+                    _try_move(work, edges, rng, value, 1e-9, evaluator, move)
+        assert work == before and edges.edges == order
+        assert evaluator._pending is None and evaluator.value == value
+        assert np.array_equal(evaluator.dist, dist)
+        assert np.array_equal(evaluator._table, table)

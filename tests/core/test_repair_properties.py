@@ -237,52 +237,73 @@ def test_evaluator_matches_reference_after_every_step(graph, steps, budget):
         _assert_exact(evaluator, graph)
 
 
+def _assert_whole_matrix_block(step, before: np.ndarray, rebuilt: np.ndarray) -> None:
+    """``step`` journals the whole matrix: ``before`` replaced by ``rebuilt``."""
+    rows, cols, old, new = step
+    everything = np.arange(len(before))
+    assert np.array_equal(rows, everything) and np.array_equal(cols, everything)
+    assert np.array_equal(old, before) and np.array_equal(new, rebuilt)
+
+
 def test_fallback_rebuild_inside_the_first_proposal_rolls_back():
-    """A rebuild in the first proposal leaves the committed matrix intact."""
+    """A rebuild writes into the one matrix array and journals it whole."""
     ring = [(s, (s + 1) % 12) for s in range(12)]
     graph = HostSwitchGraph.from_edges(12, 3, ring, list(range(12)))
     evaluator = _budgeted(IncrementalEvaluator, graph, 0.0)
-    committed, before, value = evaluator.dist, evaluator.dist.copy(), evaluator.value
+    dist, before, value = evaluator.dist, evaluator.dist.copy(), evaluator.value
+    table = evaluator._table.copy()
     move = SwapMove(0, 1, 6, 7)
     move.apply(graph)
     evaluator.propose(move)
     assert evaluator.stats["fallbacks"] == 1
-    assert evaluator.dist is not committed
+    assert evaluator.dist is dist
     _assert_exact(evaluator, graph)
+    [step] = evaluator._pending[1]
+    _assert_whole_matrix_block(step, before, dist)
     evaluator.rollback()
     move.undo(graph)
-    assert evaluator.dist is committed
-    assert np.array_equal(evaluator.dist, before) and evaluator.value == value
+    assert evaluator.dist is dist
+    assert np.array_equal(dist, before) and evaluator.value == value
+    assert np.array_equal(evaluator._table, table)
+    _assert_exact(evaluator, graph)
 
 
-def test_extension_after_a_fallback_rebuild_journals_nothing():
-    """Step 1 rebuilds; the extension repairs the rebuilt array, unjournaled.
+def test_extension_after_a_fallback_rebuild_repairs_the_one_array():
+    """Step 1 rebuilds; the extension repairs that array and journals its blocks.
 
-    Rollback drops the rebuilt array whole, so a block journaled from it
-    would write the intermediate state's entries into the committed array.
+    The extension takes the incremental sum over its own blocks, like any
+    other extension, and rollback restores both through the one journal.
+    The chords keep every intermediate graph connected, so no step's
+    block holds ``inf``, which would call for the full sum.
     """
-    ring = [(s, (s + 1) % 12) for s in range(12)]
-    graph = HostSwitchGraph.from_edges(12, 3, ring, list(range(12)))
+    chorded = [(s, (s + 1) % 12) for s in range(12)] + [(0, 6), (3, 9), (1, 7), (4, 10)]
+    graph = HostSwitchGraph.from_edges(12, 4, chorded, list(range(12)))
     evaluator = _budgeted(IncrementalEvaluator, graph, 0.0)
-    committed, before, value = evaluator.dist, evaluator.dist.copy(), evaluator.value
+    dist, before, value = evaluator.dist, evaluator.dist.copy(), evaluator.value
     table = evaluator._table.copy()
-    first, second = SwapMove(0, 1, 6, 7), SwapMove(2, 3, 9, 10)
+    first, second = SwapMove(0, 1, 6, 7), SwapMove(2, 3, 8, 9)
     first.apply(graph)
     evaluator.propose(first)
-    assert evaluator.stats["fallbacks"] == 1 and evaluator.dist is not committed
-    evaluator._row_budget = graph.num_switches  # the extension repairs in place
+    assert evaluator.stats["fallbacks"] == 1 and evaluator.dist is dist
+    rebuilt = dist.copy()
+    evaluator._row_budget = 2 * graph.num_switches  # two removals repair, never rebuild
     second.apply(graph)
-    evaluator.extend(second)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "_evaluate", lambda *_: pytest.fail("full sum taken"))
+        evaluator.extend(second)
     assert evaluator.stats == {"proposals": 1, "extensions": 1, "fallbacks": 1,
                                "repaired_rows": evaluator.stats["repaired_rows"]}
     assert evaluator.stats["repaired_rows"] > 0
+    assert evaluator.dist is dist
     _assert_exact(evaluator, graph)
-    assert evaluator._pending[1] == []  # nothing journaled against the committed array
+    journal = evaluator._pending[1]
+    assert len(journal) > 1
+    _assert_whole_matrix_block(journal[0], before, rebuilt)
     evaluator.rollback()
     second.undo(graph)
     first.undo(graph)
-    assert evaluator.dist is committed
-    assert np.array_equal(evaluator.dist, before) and evaluator.value == value
+    assert evaluator.dist is dist
+    assert np.array_equal(dist, before) and evaluator.value == value
     assert np.array_equal(evaluator._table, table)
     _assert_exact(evaluator, graph)
 
